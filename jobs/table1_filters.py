@@ -1,8 +1,9 @@
 """Table 1 + §7.5 job: per-filter and end-to-end GEqO performance.
 
 Usage: ``spark-submit jobs/table1_filters.py [n_subexpr] [n_equiv]``
-(the experiment itself is driver-side + the Spark pipeline variant is
-exercised through ``repro.core.pipeline.geqo_set_spark`` in tests).
+(the experiment itself runs on the driver through ``geqo_set_local``;
+``repro.core.pipeline.geqo_set_spark`` runs the same per-SF-group
+cascade as one Spark stage, and its parity with the driver is tested).
 """
 import sys
 

@@ -3,8 +3,11 @@
 Pure numpy/heapq implementation of the standard HNSW algorithm: each
 point gets a geometric random level; upper layers are sparse "express"
 graphs descended greedily, and the base layer is beam-searched with an
-``ef`` candidate list. The VMF (§2.2) builds one index per SF-group and
-issues radius queries to find likely-equivalent neighbors.
+``ef`` candidate list, so a radius query returns at most ``ef`` hits.
+The VMF (§2.2) uses an exact radius join instead
+(:func:`repro.filters.vmf.radius_join`), which is faster at SF-group
+sizes and cannot miss a pair; this index is the approximate alternative
+for groups too large to join exactly.
 """
 from __future__ import annotations
 

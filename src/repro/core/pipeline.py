@@ -1,104 +1,155 @@
 """The GEqO cascade (§2.2): SF → VMF → EMF → AV.
 
-Two implementations of ``GEqO_SET`` (Equation 1):
+The SF keys every subexpression on the driver, and every later stage
+works inside one SF-group: :func:`cascade_group`. The two
+implementations of ``GEqO_SET`` (Equation 1) are thin maps over it:
 
-- :func:`geqo_set_spark` — the distributed pipeline. The workload is a
-  Spark DataFrame; SF grouping/pairing is a self-join, the VMF runs one
-  `applyInPandas` task per SF-group, EMF scoring and AV verification run
-  under `mapInPandas` with broadcast model weights. Filters
-  short-circuit by construction: a pair dropped by a stage never
-  reaches the next.
-- :func:`geqo_set_local` — same semantics on the driver, used by the
-  SSFL inner loop and micro-benchmarks where Spark task overhead would
-  drown the measured quantity.
+- :func:`geqo_set_spark` — one Spark stage without a shuffle: one row
+  per SF-group, `mapInPandas` with the model weights broadcast once.
+- :func:`geqo_set_local` — the same on the driver, used by the
+  experiments, the SSFL inner loop and micro-benchmarks where Spark
+  task overhead would drown the measured quantity.
 
-Both return a :class:`PipelineResult` with per-stage survivor counts
-and wall-clock times, which is what the Table 1 / ablation experiments
-report.
+A pair dropped by a stage never reaches the next. Both return a
+:class:`PipelineResult` with per-stage survivor counts and times, which
+the Table 1 / ablation experiments report.
 """
 from __future__ import annotations
 
+import itertools
+import pickle
 import time
 from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.plan import Plan, from_json
-from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores, emf_scores_spark
-from repro.filters.schema_filter import sf_candidate_pairs, sf_groups, workload_to_df
-from repro.filters.vmf import DEFAULT_TAU, VMF, vmf_candidates_spark
+from repro.core.plan import Plan, from_json, to_json
+from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores
+from repro.filters.schema_filter import sf_groups
+from repro.filters.vmf import DEFAULT_TAU, VMF
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
+
+CASCADE = ("SF", "VMF", "EMF")
 
 
 @dataclass
 class PipelineResult:
+    """Output of one ``GEqO_SET`` call (or of one SF-group).
+
+    ``survivors`` and ``times`` are keyed by stage. ``times`` are
+    seconds: under :func:`geqo_set_spark` the SF seconds are driver wall
+    time, and the VMF, EMF and AV seconds are task seconds summed over
+    SF-groups, which run in parallel.
+    """
+
     pairs: set[tuple[int, int]]  # AV-confirmed equivalent pairs
     n_total_pairs: int
     survivors: dict[str, int] = field(default_factory=dict)  # per stage
     times: dict[str, float] = field(default_factory=dict)  # seconds
     av_pairs_checked: int = 0
+    av_unknown: int = 0  # AV raised: never reported as equivalent
 
     @property
     def total_time(self) -> float:
         return sum(self.times.values())
+
+    def merge(self, group: PipelineResult, ids) -> None:
+        """Add one SF-group's result; ``ids`` maps its local plan
+        indices to workload ids in ascending order."""
+        self.pairs.update((ids[a], ids[b]) for a, b in group.pairs)
+        for stage, k in group.survivors.items():
+            self.survivors[stage] += k
+        for stage, s in group.times.items():
+            self.times[stage] += s
+        self.av_pairs_checked += group.av_pairs_checked
+        self.av_unknown += group.av_unknown
+
+
+def _empty_result(n: int, filters: tuple[str, ...]) -> PipelineResult:
+    stages = [s for s in CASCADE if s in filters] + ["AV"]
+    return PipelineResult(
+        set(), n * (n - 1) // 2,
+        survivors=dict.fromkeys(stages, 0), times=dict.fromkeys(stages, 0.0),
+    )
+
+
+def cascade_group(
+    plans: list[Plan],
+    model: EMF | None,
+    *,
+    filters: tuple[str, ...] = CASCADE,
+    tau: float = DEFAULT_TAU,
+    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
+    verifier: Verifier,
+) -> PipelineResult:
+    """VMF → EMF → AV over the pairs of ``plans``, one SF-group (or the
+    whole workload when no filter groups it). Pairs are local indices.
+
+    A pair whose AV check raises ``RuntimeError`` (the alias-bijection
+    budget, or the solver's ``SolverError``) is counted in
+    ``av_unknown`` and not reported."""
+    res = _empty_result(len(plans), filters)
+    pairs = list(itertools.combinations(range(len(plans)), 2))
+    if "SF" in filters:
+        res.survivors["SF"] = len(pairs)
+    if "VMF" in filters:
+        t0 = time.perf_counter()
+        pairs = sorted(VMF(model, tau=tau).group_pairs(plans))
+        res.times["VMF"] = time.perf_counter() - t0
+        res.survivors["VMF"] = len(pairs)
+    if "EMF" in filters:
+        t0 = time.perf_counter()
+        proba = emf_scores(model, [(plans[i], plans[j]) for i, j in pairs])
+        pairs = [p for p, s in zip(pairs, proba) if s >= emf_threshold]
+        res.times["EMF"] = time.perf_counter() - t0
+        res.survivors["EMF"] = len(pairs)
+
+    t0 = time.perf_counter()
+    for i, j in pairs:
+        try:
+            if verifier.equivalent(plans[i], plans[j]):
+                res.pairs.add((i, j))
+        except RuntimeError:
+            res.av_unknown += 1
+    res.times["AV"] = time.perf_counter() - t0
+    res.av_pairs_checked = len(pairs)
+    res.survivors["AV"] = len(res.pairs)
+    return res
 
 
 def geqo_set_local(
     plans: list[Plan],
     model: EMF | None,
     *,
-    filters: tuple[str, ...] = ("SF", "VMF", "EMF"),
+    filters: tuple[str, ...] = CASCADE,
     tau: float = DEFAULT_TAU,
     emf_threshold: float = DEFAULT_EMF_THRESHOLD,
     verifier: Verifier | None = None,
 ) -> PipelineResult:
-    """Driver-side GEqO_SET; ``filters`` selects the cascade (ablation)."""
-    n = len(plans)
-    total = n * (n - 1) // 2
-    res = PipelineResult(set(), total)
+    """Driver-side GEqO_SET; ``filters`` selects the cascade (ablation).
+
+    The VMF embeds within SF-groups, so it groups the workload even
+    without the SF; with neither, the workload is one group."""
+    if model is None and ("VMF" in filters or "EMF" in filters):
+        raise ValueError("VMF and EMF require a trained model")
+    res = _empty_result(len(plans), filters)
     verifier = verifier or Verifier()
 
-    pairs: set[tuple[int, int]] | None = None
-    if "SF" in filters:
-        t0 = time.perf_counter()
-        pairs = set()
-        for idxs in sf_groups(plans).values():
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    pairs.add((idxs[a], idxs[b]))
-        res.times["SF"] = time.perf_counter() - t0
-        res.survivors["SF"] = len(pairs)
-    if "VMF" in filters:
-        if model is None:
-            raise ValueError("VMF requires a trained model")
-        t0 = time.perf_counter()
-        vmf = VMF(model, tau=tau)
-        cand = vmf.candidate_pairs(plans)
-        pairs = cand if pairs is None else (pairs & cand)
-        res.times["VMF"] = time.perf_counter() - t0
-        res.survivors["VMF"] = len(pairs)
-    if pairs is None:  # no pair-pruning filter ran yet: all pairs
-        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    if "EMF" in filters:
-        if model is None:
-            raise ValueError("EMF requires a trained model")
-        t0 = time.perf_counter()
-        ordered = sorted(pairs)
-        proba = emf_scores(model, [(plans[i], plans[j]) for i, j in ordered])
-        pairs = {p for p, s in zip(ordered, proba) if s >= emf_threshold}
-        res.times["EMF"] = time.perf_counter() - t0
-        res.survivors["EMF"] = len(pairs)
-
     t0 = time.perf_counter()
-    confirmed = {
-        (i, j) for i, j in pairs if verifier.equivalent(plans[i], plans[j])
-    }
-    res.times["AV"] = time.perf_counter() - t0
-    res.av_pairs_checked = len(pairs)
-    res.pairs = confirmed
-    res.survivors["AV"] = len(confirmed)
+    if "SF" in filters or "VMF" in filters:
+        groups = list(sf_groups(plans).values())
+    else:
+        groups = [list(range(len(plans)))]
+    if "SF" in filters:
+        res.times["SF"] = time.perf_counter() - t0
+    for ids in groups:
+        if len(ids) > 1:
+            group = cascade_group(
+                [plans[i] for i in ids], model, filters=filters, tau=tau,
+                emf_threshold=emf_threshold, verifier=verifier,
+            )
+            res.merge(group, ids)
     return res
 
 
@@ -110,70 +161,44 @@ def geqo_set_spark(
     tau: float = DEFAULT_TAU,
     emf_threshold: float = DEFAULT_EMF_THRESHOLD,
 ) -> PipelineResult:
-    """Distributed GEqO_SET: SF ∘ VMF ∘ EMF ∘ AV over Spark."""
-    n = len(plans)
-    res = PipelineResult(set(), n * (n - 1) // 2)
-
+    """Distributed GEqO_SET: :func:`cascade_group` on each SF-group."""
+    res = _empty_result(len(plans), CASCADE)
     t0 = time.perf_counter()
-    wdf = workload_to_df(spark, plans).cache()
-    n_sf = sf_candidate_pairs(wdf).count()
+    rows = [
+        (ids, [to_json(plans[i]) for i in ids])
+        for ids in sf_groups(plans).values()
+        if len(ids) > 1
+    ]
     res.times["SF"] = time.perf_counter() - t0
-    res.survivors["SF"] = n_sf
+    if not rows:
+        return res
 
-    # VMF inside SF-groups (group key carries the SF semantics)
-    t0 = time.perf_counter()
-    cand = vmf_candidates_spark(wdf, model, tau=tau).cache()
-    res.survivors["VMF"] = cand.count()
-    res.times["VMF"] = time.perf_counter() - t0
+    weights = spark.sparkContext.broadcast(model.to_bytes())
 
-    # attach plan JSON for downstream stages
-    plans_df = wdf.select("id", "plan")
-    pairs_df = (
-        cand.join(plans_df.withColumnRenamed("id", "id1")
-                  .withColumnRenamed("plan", "plan1"), on="id1")
-        .join(plans_df.withColumnRenamed("id", "id2")
-              .withColumnRenamed("plan", "plan2"), on="id2")
-    )
-
-    t0 = time.perf_counter()
-    scored = emf_scores_spark(pairs_df, model)
-    emf_pass = scored.where(F.col("proba") >= emf_threshold).cache()
-    res.survivors["EMF"] = emf_pass.count()
-    res.times["EMF"] = time.perf_counter() - t0
-
-    # AV on survivors, distributed
-    t0 = time.perf_counter()
-    to_verify = (
-        emf_pass.join(plans_df.withColumnRenamed("id", "id1")
-                      .withColumnRenamed("plan", "plan1"), on="id1")
-        .join(plans_df.withColumnRenamed("id", "id2")
-              .withColumnRenamed("plan", "plan2"), on="id2")
-    )
-
-    def av_verify(batches):
+    def run_groups(batches):
         import pandas as pd
 
-        v = Verifier()
+        model = EMF.from_bytes(weights.value)
+        verifier = Verifier()
         for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            ok = [
-                v.equivalent(from_json(a), from_json(b))
-                for a, b in zip(pdf["plan1"], pdf["plan2"])
+            out = [
+                pickle.dumps((ids.tolist(), cascade_group(
+                    [from_json(s) for s in group], model, tau=tau,
+                    emf_threshold=emf_threshold, verifier=verifier,
+                )))
+                for ids, group in zip(pdf["ids"], pdf["plans"])
             ]
-            yield pd.DataFrame(
-                {"id1": pdf["id1"], "id2": pdf["id2"], "equivalent": ok}
-            )
+            yield pd.DataFrame({"result": out})
 
-    verified = to_verify.mapInPandas(
-        av_verify, schema="id1 long, id2 long, equivalent boolean"
-    )
-    rows = verified.where(F.col("equivalent")).select("id1", "id2").collect()
-    res.times["AV"] = time.perf_counter() - t0
-    res.av_pairs_checked = res.survivors["EMF"]
-    res.pairs = {(int(r.id1), int(r.id2)) for r in rows}
-    res.survivors["AV"] = len(res.pairs)
-    wdf.unpersist()
-    cand.unpersist()
-    emf_pass.unpersist()
+    try:
+        collected = (
+            spark.createDataFrame(rows, "ids array<long>, plans array<string>")
+            .mapInPandas(run_groups, schema="result binary")
+            .collect()
+        )
+    finally:
+        weights.unpersist()
+    for row in collected:
+        ids, group = pickle.loads(row.result)
+        res.merge(group, ids)
     return res

@@ -20,7 +20,7 @@ from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
 from repro.encoding.instance import schema_vocab
 from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores_workload
-from repro.filters.schema_filter import sf_groups
+from repro.filters.schema_filter import sf_pairs
 from repro.filters.vmf import VMF, calibrate_tau
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
@@ -135,13 +135,9 @@ def run(
 
     # ---- SF standalone ----------------------------------------------
     t0 = time.perf_counter()
-    sf_pairs: set[tuple[int, int]] = set()
-    for idxs in sf_groups(plans).values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                sf_pairs.add((idxs[a], idxs[b]))
+    sf_admitted = sf_pairs(plans)
     t_sf = time.perf_counter() - t0
-    tpr, tnr = _rates(sf_pairs, truth, len(all_pairs))
+    tpr, tnr = _rates(sf_admitted, truth, len(all_pairs))
     res.rows.append(FilterRow("Schema Filter (SF)", t_sf, tpr, tnr))
 
     # ---- VMF standalone ---------------------------------------------

@@ -1,8 +1,8 @@
 """Equivalence model filter (EMF) as a pipeline stage (§2.2).
 
-Scores candidate pairs with the trained tree-conv MLP. Driver-side
-batched scoring plus a Spark `mapInPandas` variant with broadcast
-weights for the distributed pipeline.
+Scores candidate pairs with the trained tree-conv MLP in batches. The
+pipeline calls :func:`emf_scores` once per SF-group, on the driver or
+inside a Spark task.
 
 The filter threshold defaults to 0.2, *below* the 0.5 classification
 threshold: as the paper stresses (§7.1.1), false negatives are missed
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import Plan, from_json
+from repro.core.plan import Plan
 from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_pair_agnostic
 from repro.encoding.canonical_form import canonical_plan
 from repro.nn.model import EMF
@@ -109,29 +109,3 @@ def emf_scores_workload(
     flush()
     return out
 
-
-def emf_scores_spark(pairs_df, model: EMF):
-    """Spark EMF scoring over a (id1, id2, plan1, plan2) DataFrame.
-
-    Returns (id1, id2, proba). Weights are broadcast once; each
-    `mapInPandas` batch deserializes them (cheap: a few ms)."""
-    import pandas as pd
-
-    spark = pairs_df.sparkSession
-    weights = spark.sparkContext.broadcast(model.to_bytes())
-
-    def score(batches):
-        model = EMF.from_bytes(weights.value)
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            pairs = [
-                (from_json(a), from_json(b))
-                for a, b in zip(pdf["plan1"], pdf["plan2"])
-            ]
-            proba = emf_scores(model, pairs)
-            yield pd.DataFrame(
-                {"id1": pdf["id1"], "id2": pdf["id2"], "proba": proba}
-            )
-
-    return pairs_df.mapInPandas(score, schema="id1 long, id2 long, proba double")

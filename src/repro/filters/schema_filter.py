@@ -1,48 +1,32 @@
-"""Schema filter (SF) — §2.2.1, expressed as Spark DataFrame operations.
+"""Schema filter (SF) — §2.2.1.
 
 Groups workload subexpressions by (table multiset, output arity); only
-same-group pairs survive. O(n): one pass to key each subexpression,
-then a hash ``groupBy``. Candidate pair generation is a self-join inside
-each group with ``id1 < id2``.
+same-group pairs survive. O(n): one pass keys each subexpression on the
+driver. The executors of :mod:`repro.core.pipeline` then run the rest of
+the cascade inside each group.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import itertools
 
-from repro.core.plan import Plan, to_json
-from repro.filters.keys import sf_key, sf_key_str
-
-
-def workload_to_df(spark: SparkSession, plans: list[Plan]) -> DataFrame:
-    """Workload as a Spark DataFrame: (id, plan JSON, sf_key)."""
-    rows = [
-        (i, to_json(p), sf_key_str(p)) for i, p in enumerate(plans)
-    ]
-    return spark.createDataFrame(rows, "id long, plan string, sf_key string")
-
-
-def sf_candidate_pairs(workload_df: DataFrame) -> DataFrame:
-    """Unordered same-SF-group pairs (id1 < id2) — the SF survivors."""
-    a = workload_df.select(
-        F.col("id").alias("id1"),
-        F.col("plan").alias("plan1"),
-        "sf_key",
-    )
-    b = workload_df.select(
-        F.col("id").alias("id2"),
-        F.col("plan").alias("plan2"),
-        "sf_key",
-    )
-    return a.join(b, on="sf_key").where(F.col("id1") < F.col("id2"))
+from repro.core.plan import Plan
+from repro.filters.keys import sf_key
 
 
 def sf_groups(plans: list[Plan]) -> dict[tuple, list[int]]:
-    """Driver-side grouping (used by the VMF and the SSFL sampler)."""
+    """SF-group key → ascending workload indices of its members."""
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(plans):
         groups.setdefault(sf_key(p), []).append(i)
     return groups
+
+
+def sf_pairs(plans: list[Plan]) -> set[tuple[int, int]]:
+    """Unordered same-SF-group pairs (i < j) — the SF survivors."""
+    return {
+        p for idxs in sf_groups(plans).values()
+        for p in itertools.combinations(idxs, 2)
+    }
 
 
 def sf_pair_pass(p1: Plan, p2: Plan) -> bool:

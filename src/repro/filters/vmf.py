@@ -2,19 +2,22 @@
 
 Per SF-group: apply the *n*-ary db-agnostic encoding (§4.2.2), embed
 every subexpression with the EMF's trained tree-convolution stack
-(eval mode), index the embeddings in an HNSW graph, and emit pairs
-within Euclidean radius τ as likely-equivalent candidates.
+(eval mode), and emit every pair within Euclidean radius τ as a
+likely-equivalent candidate. The radius join is exact (like a FAISS
+flat index): SF-groups are small, so comparing blocks of rows against
+the whole group is cheaper than building an ANN graph and cannot miss
+a pair.
 
-Driver-side (`VMF.candidate_pairs`) and Spark (`vmf_candidates_spark`,
-one `applyInPandas` task per SF-group) implementations share the same
-core, so results agree.
+Both executors of :mod:`repro.core.pipeline` call
+:meth:`VMF.group_pairs` once per SF-group.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from repro.ann.hnsw import HNSW
-from repro.core.plan import Plan, from_json
+from repro.core.plan import Plan
 from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_group_agnostic
 from repro.encoding.canonical_form import canonical_plan
 from repro.filters.schema_filter import sf_groups
@@ -22,6 +25,7 @@ from repro.nn.model import EMF
 from repro.nn.train import pad_encs
 
 DEFAULT_TAU = 1.0  # paper: FAISS radius d = 1 (§7 Implementation)
+_JOIN_BLOCK = 1 << 20  # float64 elements of one block's difference tensor
 
 
 def embed_group(
@@ -35,27 +39,36 @@ def embed_group(
     return model.embed_eval(X, L, R, mask)
 
 
+def radius_join(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
+    """All pairs ``i < j`` of rows of ``Z`` with ``‖Zi − Zj‖ ≤ τ``
+    (Definition 2.1), tested as ``((Zi − Zj)²).sum() <= τ²``.
+
+    Row blocks are joined against all of ``Z``; a block's difference
+    tensor holds at most ``_JOIN_BLOCK`` elements."""
+    n, h = Z.shape
+    r2 = tau * tau
+    step = max(1, _JOIN_BLOCK // max(n * h, 1))
+    out: set[tuple[int, int]] = set()
+    for s in range(0, n, step):
+        d = ((Z[s : s + step, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        ii, jj = np.nonzero(d <= r2)
+        ii += s
+        keep = ii < jj
+        out.update(zip(ii[keep].tolist(), jj[keep].tolist()))
+    return out
+
+
 def group_candidate_pairs(
     model: EMF,
     plans: list[Plan],
     *,
     tau: float = DEFAULT_TAU,
     space: AgnosticSpace = DEFAULT_SPACE,
-    seed: int = 0,
 ) -> set[tuple[int, int]]:
     """Candidate pairs (local indices, i < j) within one SF-group."""
-    n = len(plans)
-    if n < 2:
+    if len(plans) < 2:
         return set()
-    Z = embed_group(model, plans, space)
-    index = HNSW(Z.shape[1], seed=seed).build(Z)
-    ef = max(64, min(n, 512))
-    out: set[tuple[int, int]] = set()
-    for i in range(n):
-        for j in index.radius_search(Z[i], tau, ef=ef):
-            if j != i:
-                out.add((min(i, j), max(i, j)))
-    return out
+    return radius_join(embed_group(model, plans, space), tau)
 
 
 def calibrate_tau(
@@ -93,26 +106,23 @@ class VMF:
         self.tau = tau
         self.space = space
 
+    def group_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
+        """Candidates within one SF-group (local indices, i < j)."""
+        try:
+            return group_candidate_pairs(
+                self.model, plans, tau=self.tau, space=self.space
+            )
+        except ValueError:
+            # group exceeds the agnostic space: pass everything through
+            # (the filter must not drop true equivalences)
+            return set(itertools.combinations(range(len(plans)), 2))
+
     def candidate_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
         """SF-group-wise candidates over a whole workload (global ids)."""
         out: set[tuple[int, int]] = set()
-        for key, idxs in sf_groups(plans).items():
-            local = [plans[i] for i in idxs]
-            try:
-                pairs = group_candidate_pairs(
-                    self.model, local, tau=self.tau, space=self.space
-                )
-            except ValueError:
-                # group exceeds the agnostic space: pass everything
-                # through (the filter must not drop true equivalences)
-                pairs = {
-                    (a, b)
-                    for a in range(len(local))
-                    for b in range(a + 1, len(local))
-                }
-            for a, b in pairs:
-                i, j = idxs[a], idxs[b]
-                out.add((min(i, j), max(i, j)))
+        for idxs in sf_groups(plans).values():
+            pairs = self.group_pairs([plans[i] for i in idxs])
+            out.update((idxs[a], idxs[b]) for a, b in pairs)
         return out
 
     def pair_distance(self, p1: Plan, p2: Plan) -> float:
@@ -127,41 +137,3 @@ class VMF:
         except ValueError:
             return True
 
-
-def vmf_candidates_spark(
-    workload_df,
-    model: EMF,
-    *,
-    tau: float = DEFAULT_TAU,
-):
-    """Spark VMF: one `applyInPandas` task per SF-group.
-
-    ``workload_df`` is (id, plan, sf_key) from
-    :func:`repro.filters.schema_filter.workload_to_df`; the model weights
-    ship to workers via broadcast. Returns a DataFrame (id1, id2).
-    """
-    import pandas as pd
-
-    spark = workload_df.sparkSession
-    weights = spark.sparkContext.broadcast(model.to_bytes())
-    tau_b = float(tau)
-
-    def per_group(pdf: pd.DataFrame) -> pd.DataFrame:
-        model = EMF.from_bytes(weights.value)
-        plans = [from_json(s) for s in pdf["plan"]]
-        ids = pdf["id"].to_numpy()
-        try:
-            pairs = group_candidate_pairs(model, plans, tau=tau_b)
-        except ValueError:
-            pairs = {
-                (a, b) for a in range(len(plans)) for b in range(a + 1, len(plans))
-            }
-        rows = [
-            (int(min(ids[a], ids[b])), int(max(ids[a], ids[b])))
-            for a, b in pairs
-        ]
-        return pd.DataFrame(rows, columns=["id1", "id2"])
-
-    return workload_df.groupBy("sf_key").applyInPandas(
-        per_group, schema="id1 long, id2 long"
-    )

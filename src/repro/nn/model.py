@@ -183,7 +183,8 @@ class EMF:
 
     @staticmethod
     def load(path: str) -> "EMF":
-        return EMF._from_blob(np.load(path))
+        with np.load(path) as blob:
+            return EMF._from_blob(blob)
 
     @staticmethod
     def _from_blob(blob) -> "EMF":
@@ -195,11 +196,17 @@ class EMF:
             seed=int(blob["cfg_seed"]),
         )
         model = EMF(cfg)
+
+        def take(key: str, like: np.ndarray) -> np.ndarray:
+            arr = blob[key]
+            if arr.shape != like.shape:
+                raise ValueError(f"{key}: shape {arr.shape}, expected {like.shape}")
+            return arr.copy()
+
         for i, layer in enumerate(model.layers):
             for name in layer.p:
-                layer.p[name] = blob[f"l{i}_{name}"].copy()
-        model.bn1.run_mean = blob["bn1_mean"].copy()
-        model.bn1.run_var = blob["bn1_var"].copy()
-        model.bn2.run_mean = blob["bn2_mean"].copy()
-        model.bn2.run_var = blob["bn2_var"].copy()
+                layer.p[name] = take(f"l{i}_{name}", layer.p[name])
+        for bn, key in ((model.bn1, "bn1"), (model.bn2, "bn2")):
+            bn.run_mean = take(f"{key}_mean", bn.run_mean)
+            bn.run_var = take(f"{key}_var", bn.run_var)
         return model

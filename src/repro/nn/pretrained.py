@@ -54,4 +54,4 @@ def default_model(*, train_pairs: int = TRAIN_PAIRS, epochs: int = EPOCHS) -> EM
         train_emf(model, data, epochs=epochs, batch_size=64, seed=2)
         return model
 
-    return cached_model(os.path.join(results_dir(), "models"), key, build)
+    return cached_model(os.path.join(results_dir(), "models"), key, CONFIG, build)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,12 +200,27 @@ def cache_key(**kw) -> str:
     return hashlib.sha256(s.encode()).hexdigest()[:16]
 
 
-def cached_model(path_dir: str, key: str, build) -> EMF:
-    """Load a trained EMF from ``path_dir/key.npz`` or build+save it."""
+def cached_model(path_dir: str, key: str, config: EMFConfig, build) -> EMF:
+    """Load a trained EMF from ``path_dir/emf_<key>.npz`` or build+save it.
+
+    A cache file that does not load, or holds a model of another config
+    than ``config``, is rebuilt. The new file is written aside and
+    renamed into place, so no reader sees a partial file."""
     os.makedirs(path_dir, exist_ok=True)
     path = os.path.join(path_dir, f"emf_{key}.npz")
-    if os.path.exists(path):
-        return EMF.load(path)
+    try:
+        model = EMF.load(path)
+        if model.config == config:
+            return model
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        pass  # missing or damaged: rebuild
     model = build()
-    model.save(path)
+    fd, tmp = tempfile.mkstemp(dir=path_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(model.to_bytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return model

@@ -25,7 +25,7 @@ counts solver invocations so experiments can report work done.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.plan import Plan
 from repro.solver.fm import implies, satisfiable
@@ -41,7 +41,6 @@ class Verifier:
 
     pairs_checked: int = 0
     solver_calls: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool:
         self.pairs_checked += 1

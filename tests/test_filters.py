@@ -1,17 +1,18 @@
-"""SF / VMF / EMF filter tests, driver-side and Spark-side."""
+"""SF / VMF / EMF filter tests."""
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core.plan import from_json, to_json
-from repro.filters.emf_filter import emf_scores, emf_scores_spark
+from repro.filters import vmf as vmf_module
+from repro.filters.emf_filter import emf_scores
 from repro.filters.keys import sf_key
 from repro.filters.schema_filter import (
-    sf_candidate_pairs,
     sf_groups,
     sf_pair_pass,
-    workload_to_df,
+    sf_pairs,
 )
-from repro.filters.vmf import VMF, calibrate_tau, vmf_candidates_spark
+from repro.filters.vmf import VMF, calibrate_tau, radius_join
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
@@ -44,6 +45,77 @@ def test_sf_admits_all_planted(workload):
     """SF must not reject any true equivalence (planted pairs share keys)."""
     for i, j in workload.planted:
         assert sf_pair_pass(workload.plans[i], workload.plans[j])
+
+
+def test_sf_pairs_are_the_same_group_pairs(workload):
+    plans = workload.plans
+    expect = {
+        (i, j)
+        for i, j in itertools.combinations(range(len(plans)), 2)
+        if sf_key(plans[i]) == sf_key(plans[j])
+    }
+    assert sf_pairs(plans) == expect
+
+
+def _brute_force_radius(Z, tau):
+    return {
+        (i, j)
+        for i, j in itertools.combinations(range(len(Z)), 2)
+        if ((Z[i] - Z[j]) ** 2).sum() <= tau * tau
+    }
+
+
+@pytest.mark.parametrize("block", [1 << 20, 7])
+def test_radius_join_matches_brute_force(monkeypatch, block):
+    """Exact join against a pairwise reference; integer points put
+    pairs at distance exactly τ (3-4-5 triangles), which are admitted."""
+    monkeypatch.setattr(vmf_module, "_JOIN_BLOCK", block)  # force row blocks
+    g = np.random.default_rng(4)
+    Z = g.integers(0, 12, size=(80, 2)).astype(float)
+    tau = 5.0
+    got = radius_join(Z, tau)
+    assert got == _brute_force_radius(Z, tau)
+    on_boundary = {
+        (i, j) for i, j in got if ((Z[i] - Z[j]) ** 2).sum() == tau * tau
+    }
+    assert on_boundary  # the tie case is exercised
+    assert all(i < j for i, j in got)
+    # just below τ, exactly the ties drop out
+    assert radius_join(Z, np.nextafter(tau, 0)) == got - on_boundary
+
+
+def test_radius_join_returns_a_dense_cluster_in_full():
+    """600 near-identical embeddings: every pair is within τ, so every
+    point has 599 neighbours, more than the ``ef`` = 512 hits the HNSW
+    radius search it replaced returned per query."""
+    g = np.random.default_rng(5)
+    Z = 1e-3 * g.standard_normal((600, 16))
+    got = radius_join(Z, 1.0)
+    assert len(got) == 600 * 599 // 2
+
+
+def test_radius_join_empty_and_single():
+    assert radius_join(np.zeros((0, 3)), 1.0) == set()
+    assert radius_join(np.zeros((1, 3)), 1.0) == set()
+
+
+def test_vmf_group_pairs_pass_out_of_space_groups_through(monkeypatch):
+    def out_of_space(*args, **kwargs):
+        raise ValueError("group exceeds the agnostic space")
+
+    monkeypatch.setattr(vmf_module, "group_candidate_pairs", out_of_space)
+    plans = [fig1_q1(), fig1_q2(), fig1_q1()]
+    assert VMF(None).group_pairs(plans) == {(0, 1), (0, 2), (1, 2)}
+
+
+def test_vmf_candidates_are_the_exact_radius_join(emf_model, tau, workload):
+    vmf = VMF(emf_model, tau=tau)
+    for idxs in sf_groups(workload.plans).values():
+        local = [workload.plans[i] for i in idxs]
+        if len(local) < 2:
+            continue
+        Z = vmf_module.embed_group(emf_model, local)
+        assert vmf.group_pairs(local) == _brute_force_radius(Z, tau)
 
 
 def test_vmf_high_recall_on_planted(emf_model, tau, workload):
@@ -86,51 +158,3 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
     sr = emf_scores(emf_model, rand_pairs)
     assert sp.mean() > sr.mean() + 0.2
 
-
-# ---------------------------------------------------------------- Spark
-
-
-def test_workload_df_roundtrip(spark, workload):
-    df = workload_to_df(spark, workload.plans)
-    rows = df.orderBy("id").collect()
-    assert len(rows) == len(workload.plans)
-    assert from_json(rows[0].plan) == workload.plans[0]
-
-
-def test_sf_candidate_pairs_spark_matches_driver(spark, workload):
-    df = workload_to_df(spark, workload.plans)
-    got = {
-        (r.id1, r.id2) for r in sf_candidate_pairs(df).collect()
-    }
-    expect = set()
-    for idxs in sf_groups(workload.plans).values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                expect.add((min(idxs[a], idxs[b]), max(idxs[a], idxs[b])))
-    assert got == expect
-
-
-def test_vmf_spark_matches_driver(spark, emf_model, tau, workload):
-    df = workload_to_df(spark, workload.plans)
-    got = {(r.id1, r.id2) for r in vmf_candidates_spark(df, emf_model, tau=tau).collect()}
-    expect = VMF(emf_model, tau=tau).candidate_pairs(workload.plans)
-    assert got == expect
-
-
-def test_emf_spark_matches_driver(spark, emf_model, workload):
-    pairs = sorted(workload.planted)[:5]
-    rows = [
-        (i, j, to_json(workload.plans[i]), to_json(workload.plans[j]))
-        for i, j in pairs
-    ]
-    df = spark.createDataFrame(
-        rows, "id1 long, id2 long, plan1 string, plan2 string"
-    )
-    got = {
-        (r.id1, r.id2): r.proba for r in emf_scores_spark(df, emf_model).collect()
-    }
-    expect = emf_scores(
-        emf_model, [(workload.plans[i], workload.plans[j]) for i, j in pairs]
-    )
-    for (pair, p_spark), p_drv in zip(sorted(got.items()), expect):
-        assert abs(p_spark - p_drv) < 1e-9

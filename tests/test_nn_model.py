@@ -8,6 +8,7 @@ from repro.nn.train import (
     PairTensors,
     bce_with_logits,
     cache_key,
+    cached_model,
     confusion,
     encode_pairs,
     evaluate,
@@ -92,6 +93,43 @@ def test_save_load_roundtrip(tmp_path):
     loaded = EMF.load(path)
     assert loaded.config == _CFG
     assert np.allclose(loaded.predict_proba(a, b), p1)
+
+
+def test_cached_model_rebuilds_corrupt_or_mismatched_cache(tmp_path):
+    builds = []
+
+    def build():
+        builds.append(1)
+        return EMF(_CFG)
+
+    key = cache_key(test="cache")
+    path = tmp_path / f"emf_{key}.npz"
+    first = cached_model(str(tmp_path), key, _CFG, build)
+    assert len(builds) == 1 and path.is_file()
+    again = cached_model(str(tmp_path), key, _CFG, build)
+    assert len(builds) == 1  # served from the cache
+    np.testing.assert_array_equal(again.fc3.p["W"], first.fc3.p["W"])
+
+    # a truncated file (no zip end record) is rebuilt and replaced
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    cached_model(str(tmp_path), key, _CFG, build)
+    assert len(builds) == 2
+    assert EMF.load(str(path)).config == _CFG
+
+    # a readable file holding another config is rebuilt as well
+    other = EMFConfig(d_in=7, conv=(4, 4), fc=(4, 2), dropout=0.0, seed=3)
+    EMF(other).save(str(path))
+    assert cached_model(str(tmp_path), key, _CFG, build).config == _CFG
+    assert len(builds) == 3
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_load_rejects_wrong_weight_shape(tmp_path):
+    blob = EMF(_CFG)._blob()
+    blob["l0_Ws"] = blob["l0_Ws"][:, :1]
+    np.savez(tmp_path / "bad.npz", **blob)
+    with pytest.raises(ValueError):
+        EMF.load(str(tmp_path / "bad.npz"))
 
 
 def test_bce_matches_reference():
