@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from pyspark.sql import SparkSession
 
 from repro.core.plan import Plan, from_json, to_json
-from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores
+from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
-from repro.filters.vmf import DEFAULT_TAU, VMF
+from repro.filters.vmf import DEFAULT_TAU, group_pairs
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
 
@@ -79,8 +79,7 @@ def cascade_group(
     model: EMF | None,
     *,
     filters: tuple[str, ...] = CASCADE,
-    tau: float = DEFAULT_TAU,
-    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
+    tau: float,
     verifier: Verifier,
 ) -> PipelineResult:
     """VMF → EMF → AV over the pairs of ``plans``, one SF-group (or the
@@ -95,13 +94,13 @@ def cascade_group(
         res.survivors["SF"] = len(pairs)
     if "VMF" in filters:
         t0 = time.perf_counter()
-        pairs = sorted(VMF(model, tau=tau).group_pairs(plans))
+        pairs = sorted(group_pairs(model, plans, tau=tau))
         res.times["VMF"] = time.perf_counter() - t0
         res.survivors["VMF"] = len(pairs)
     if "EMF" in filters:
         t0 = time.perf_counter()
         proba = emf_scores(model, [(plans[i], plans[j]) for i, j in pairs])
-        pairs = [p for p, s in zip(pairs, proba) if s >= emf_threshold]
+        pairs = [p for p, s in zip(pairs, proba) if s >= EMF_THRESHOLD]
         res.times["EMF"] = time.perf_counter() - t0
         res.survivors["EMF"] = len(pairs)
 
@@ -124,7 +123,6 @@ def geqo_set_local(
     *,
     filters: tuple[str, ...] = CASCADE,
     tau: float = DEFAULT_TAU,
-    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
     verifier: Verifier | None = None,
 ) -> PipelineResult:
     """Driver-side GEqO_SET; ``filters`` selects the cascade (ablation).
@@ -147,7 +145,7 @@ def geqo_set_local(
         if len(ids) > 1:
             group = cascade_group(
                 [plans[i] for i in ids], model, filters=filters, tau=tau,
-                emf_threshold=emf_threshold, verifier=verifier,
+                verifier=verifier,
             )
             res.merge(group, ids)
     return res
@@ -159,7 +157,6 @@ def geqo_set_spark(
     model: EMF,
     *,
     tau: float = DEFAULT_TAU,
-    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
 ) -> PipelineResult:
     """Distributed GEqO_SET: :func:`cascade_group` on each SF-group."""
     res = _empty_result(len(plans), CASCADE)
@@ -183,8 +180,7 @@ def geqo_set_spark(
         for pdf in batches:
             out = [
                 pickle.dumps((ids.tolist(), cascade_group(
-                    [from_json(s) for s in group], model, tau=tau,
-                    emf_threshold=emf_threshold, verifier=verifier,
+                    [from_json(s) for s in group], model, tau=tau, verifier=verifier,
                 )))
                 for ids, group in zip(pdf["ids"], pdf["plans"])
             ]

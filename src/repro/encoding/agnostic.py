@@ -80,14 +80,6 @@ def symbol_maps(
     return tmap, cmap
 
 
-class _SymbolicSchema:
-    """Duck-typed Schema over symbols, for reusing ``encode_tree``."""
-
-    def __init__(self, tmap: dict[str, str], cmap: dict[str, str]):
-        self.tmap = tmap
-        self.cmap = cmap
-
-
 def _symbolize_plan(plan: Plan, tmap: dict[str, str], cmap: dict[str, str]) -> Plan:
     """Rewrite a plan onto the symbolic vocabulary (direct path)."""
     from repro.core.plan import (

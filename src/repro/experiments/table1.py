@@ -19,9 +19,9 @@ from repro.baselines.optimizer_rules import optimizer_set
 from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
 from repro.encoding.instance import schema_vocab
-from repro.filters.emf_filter import DEFAULT_EMF_THRESHOLD, emf_scores_workload
+from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores_workload
 from repro.filters.schema_filter import sf_pairs
-from repro.filters.vmf import VMF, calibrate_tau
+from repro.filters.vmf import calibrate_tau, candidate_pairs
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
@@ -108,7 +108,6 @@ def run(
     n_subexpr: int = 320,
     n_equiv: int = 50,
     seed: int = 100,
-    emf_threshold: float = DEFAULT_EMF_THRESHOLD,
 ) -> Table1Result:
     w = make_planted_workload(
         TPCDS_LITE,
@@ -144,7 +143,7 @@ def run(
     cal_pos = make_positive_pairs(TPCDS_LITE, 80, seed=seed + 1)
     tau = calibrate_tau(model, [(p.p1, p.p2) for p in cal_pos])
     t0 = time.perf_counter()
-    vmf_pairs = VMF(model, tau=tau).candidate_pairs(plans)
+    vmf_pairs = candidate_pairs(model, plans, tau=tau)
     t_vmf = time.perf_counter() - t0
     tpr, tnr = _rates(vmf_pairs, truth, len(all_pairs))
     res.rows.append(
@@ -156,14 +155,12 @@ def run(
     vocab = schema_vocab(TPCDS_LITE)
     t0 = time.perf_counter()
     proba = emf_scores_workload(model, plans, all_pairs, vocab)
-    emf_pairs = {
-        p for p, s in zip(all_pairs, proba) if s >= emf_threshold
-    }
+    emf_pairs = {p for p, s in zip(all_pairs, proba) if s >= EMF_THRESHOLD}
     t_emf = time.perf_counter() - t0
     tpr, tnr = _rates(emf_pairs, truth, len(all_pairs))
     res.rows.append(
         FilterRow("Equivalence Model Filter (EMF)", t_emf, tpr, tnr,
-                  f"thr={emf_threshold}")
+                  f"thr={EMF_THRESHOLD}")
     )
 
     # ---- AV row ------------------------------------------------------
@@ -174,9 +171,7 @@ def run(
 
     # ---- GEqO cascade ------------------------------------------------
     t0 = time.perf_counter()
-    geqo = geqo_set_local(
-        plans, model, tau=tau, emf_threshold=emf_threshold
-    )
+    geqo = geqo_set_local(plans, model, tau=tau)
     t_geqo = time.perf_counter() - t0
     tpr, tnr = _rates(geqo.pairs, truth, len(all_pairs))
     res.rows.append(

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.plan import Plan
-from repro.filters.keys import sf_key
+from repro.core.plan import Plan, base_tables, output_columns
+
+
+def sf_key(plan: Plan) -> tuple[tuple[str, ...], int]:
+    """(sorted base-table multiset, output arity); two plans pass the SF
+    (the ``≈_SF`` predicate of §2.2) when their keys are equal."""
+    return base_tables(plan), len(output_columns(plan))
 
 
 def sf_groups(plans: list[Plan]) -> dict[tuple, list[int]]:
@@ -27,8 +32,3 @@ def sf_pairs(plans: list[Plan]) -> set[tuple[int, int]]:
         p for idxs in sf_groups(plans).values()
         for p in itertools.combinations(idxs, 2)
     }
-
-
-def sf_pair_pass(p1: Plan, p2: Plan) -> bool:
-    """Pairwise SF check (the ``≈_SF`` predicate of §2.2)."""
-    return sf_key(p1) == sf_key(p2)

@@ -8,8 +8,10 @@ flat index): SF-groups are small, so comparing blocks of rows against
 the whole group is cheaper than building an ANN graph and cannot miss
 a pair.
 
-Both executors of :mod:`repro.core.pipeline` call
-:meth:`VMF.group_pairs` once per SF-group.
+Both executors of :mod:`repro.core.pipeline` call :func:`group_pairs`
+once per SF-group; :func:`candidate_pairs` runs it over a whole
+workload. :func:`pair_distances` is the pairwise ``≈_VMF`` distance
+that :func:`calibrate_tau` and Table 5 use.
 """
 from __future__ import annotations
 
@@ -18,23 +20,22 @@ import itertools
 import numpy as np
 
 from repro.core.plan import Plan
-from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_group_agnostic
+from repro.encoding.agnostic import encode_group_agnostic
 from repro.encoding.canonical_form import canonical_plan
 from repro.filters.schema_filter import sf_groups
 from repro.nn.model import EMF
 from repro.nn.train import pad_encs
 
 DEFAULT_TAU = 1.0  # paper: FAISS radius d = 1 (§7 Implementation)
+TARGET_RECALL = 0.98  # quantile of positive-pair distances that τ admits
 _JOIN_BLOCK = 1 << 20  # float64 elements of one block's difference tensor
 
 
-def embed_group(
-    model: EMF, plans: list[Plan], space: AgnosticSpace = DEFAULT_SPACE
-) -> np.ndarray:
+def embed_group(model: EMF, plans: list[Plan]) -> np.ndarray:
     """(n, h) embeddings of one SF-group under the group-wise n-ary
     db-agnostic encoding."""
     canon = [canonical_plan(p) for p in plans]
-    encs = encode_group_agnostic(canon, space)
+    encs = encode_group_agnostic(canon)
     X, L, R, mask = pad_encs(encs)
     return model.embed_eval(X, L, R, mask)
 
@@ -59,81 +60,62 @@ def radius_join(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
 
 
 def group_candidate_pairs(
-    model: EMF,
-    plans: list[Plan],
-    *,
-    tau: float = DEFAULT_TAU,
-    space: AgnosticSpace = DEFAULT_SPACE,
+    model: EMF, plans: list[Plan], *, tau: float = DEFAULT_TAU
 ) -> set[tuple[int, int]]:
-    """Candidate pairs (local indices, i < j) within one SF-group."""
+    """Candidate pairs (local indices, i < j) within one SF-group;
+    raises ``ValueError`` when the group exceeds the agnostic space."""
     if len(plans) < 2:
         return set()
-    return radius_join(embed_group(model, plans, space), tau)
+    return radius_join(embed_group(model, plans), tau)
 
 
-def calibrate_tau(
-    model: EMF,
-    positive_pairs: list[tuple[Plan, Plan]],
-    *,
-    target_recall: float = 0.98,
-    space: AgnosticSpace = DEFAULT_SPACE,
-) -> float:
-    """Pick τ as the ``target_recall`` quantile of positive-pair
-    embedding distances — the VMF must admit (nearly) all equivalences
-    (§1: "ensure that equivalence pairs are admitted with high recall").
-    """
-    dists = []
-    for p1, p2 in positive_pairs:
+def group_pairs(
+    model: EMF, plans: list[Plan], *, tau: float
+) -> set[tuple[int, int]]:
+    """The VMF's survivors within one SF-group (local indices, i < j).
+
+    A group that exceeds the agnostic space passes through whole: the
+    filter must not drop true equivalences."""
+    try:
+        return group_candidate_pairs(model, plans, tau=tau)
+    except ValueError:
+        return set(itertools.combinations(range(len(plans)), 2))
+
+
+def candidate_pairs(
+    model: EMF, plans: list[Plan], *, tau: float
+) -> set[tuple[int, int]]:
+    """:func:`group_pairs` over every SF-group of a workload (workload
+    indices, i < j)."""
+    out: set[tuple[int, int]] = set()
+    for idxs in sf_groups(plans).values():
+        pairs = group_pairs(model, [plans[i] for i in idxs], tau=tau)
+        out.update((idxs[a], idxs[b]) for a, b in pairs)
+    return out
+
+
+def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
+    """Embedding distance of each pair, each embedded as its own
+    two-plan group; NaN for a pair outside the agnostic space."""
+    out = np.full(len(pairs), np.nan)
+    for k, pair in enumerate(pairs):
         try:
-            Z = embed_group(
-                model, [canonical_plan(p1), canonical_plan(p2)], space
-            )
+            Z = embed_group(model, list(pair))
         except ValueError:
             continue
-        dists.append(float(np.linalg.norm(Z[0] - Z[1])))
-    if not dists:
+        out[k] = np.linalg.norm(Z[0] - Z[1])
+    return out
+
+
+def calibrate_tau(model: EMF, positive_pairs: list[tuple[Plan, Plan]]) -> float:
+    """Pick τ as the :data:`TARGET_RECALL` quantile of positive-pair
+    embedding distances — the VMF must admit (nearly) all equivalences
+    (§1: "ensure that equivalence pairs are admitted with high recall").
+    Pairs outside the agnostic space are left out.
+    """
+    dists = pair_distances(model, positive_pairs)
+    dists = dists[~np.isnan(dists)]
+    if not len(dists):
         return DEFAULT_TAU
-    tau = float(np.quantile(dists, target_recall))
+    tau = float(np.quantile(dists, TARGET_RECALL))
     return max(tau, 1e-3)  # equivalent pairs often embed identically
-
-
-class VMF:
-    """Stateful wrapper holding the embedding model and threshold."""
-
-    def __init__(self, model: EMF, *, tau: float = DEFAULT_TAU,
-                 space: AgnosticSpace = DEFAULT_SPACE):
-        self.model = model
-        self.tau = tau
-        self.space = space
-
-    def group_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
-        """Candidates within one SF-group (local indices, i < j)."""
-        try:
-            return group_candidate_pairs(
-                self.model, plans, tau=self.tau, space=self.space
-            )
-        except ValueError:
-            # group exceeds the agnostic space: pass everything through
-            # (the filter must not drop true equivalences)
-            return set(itertools.combinations(range(len(plans)), 2))
-
-    def candidate_pairs(self, plans: list[Plan]) -> set[tuple[int, int]]:
-        """SF-group-wise candidates over a whole workload (global ids)."""
-        out: set[tuple[int, int]] = set()
-        for idxs in sf_groups(plans).values():
-            pairs = self.group_pairs([plans[i] for i in idxs])
-            out.update((idxs[a], idxs[b]) for a, b in pairs)
-        return out
-
-    def pair_distance(self, p1: Plan, p2: Plan) -> float:
-        """Pairwise embedding distance (the ``≈_VMF`` predicate)."""
-        Z = embed_group(self.model, [canonical_plan(p1), canonical_plan(p2)],
-                        self.space)
-        return float(np.linalg.norm(Z[0] - Z[1]))
-
-    def pair_pass(self, p1: Plan, p2: Plan) -> bool:
-        try:
-            return self.pair_distance(p1, p2) < self.tau
-        except ValueError:
-            return True
-

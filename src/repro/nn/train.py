@@ -7,6 +7,7 @@ confusion-matrix numbers the paper reports in Tables 3–5.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import tempfile
 import zipfile
@@ -19,6 +20,8 @@ from repro.encoding.instance import TreeEnc
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
+
+log = logging.getLogger(__name__)
 
 
 # --------------------------------------------------------------------------
@@ -147,7 +150,6 @@ def train_emf(
     weight_decay: float = 5e-4,
     seed: int = 0,
     optimizer: Adam | None = None,
-    verbose: bool = False,
 ) -> list[float]:
     """Minibatch Adam training; returns per-epoch mean losses.
 
@@ -171,8 +173,7 @@ def train_emf(
             total += loss
             nb += 1
         losses.append(total / max(nb, 1))
-        if verbose:
-            print(f"epoch {epoch}: loss {losses[-1]:.4f}")
+        log.debug("epoch %d: loss %.4f", epoch, losses[-1])
     return losses
 
 

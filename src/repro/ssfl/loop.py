@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.plan import Plan
 from repro.filters.schema_filter import sf_groups
-from repro.filters.vmf import VMF
+from repro.filters.vmf import candidate_pairs
 from repro.nn.model import EMF
 from repro.nn.optim import Adam
 from repro.nn.train import PairTensors, encode_pairs, predict, train_emf
@@ -51,8 +51,7 @@ def sample_filter_balanced(
     rng: np.random.Generator,
 ) -> list[LabeledPair]:
     """S₊ ← AV(VMF(SF(W×W))); balance with hard + random negatives."""
-    vmf = VMF(model, tau=tau)
-    candidates = sorted(vmf.candidate_pairs(plans))
+    candidates = sorted(candidate_pairs(model, plans, tau=tau))
     rng.shuffle(candidates)
     pos: list[LabeledPair] = []
     neg: list[LabeledPair] = []

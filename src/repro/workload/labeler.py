@@ -30,8 +30,8 @@ from repro.core.plan import (
     Project,
     to_json,
 )
-from repro.filters.keys import sf_key
-from repro.solver.fm import satisfiable
+from repro.filters.schema_filter import sf_key
+from repro.solver.fm import SolverError, satisfiable
 from repro.verifier.canonical import flatten
 from repro.workload.generator import random_base_plan
 from repro.workload.rewrites import REWRITES, _map_nodes, equivalent_variant
@@ -50,11 +50,13 @@ class LabeledPair:
 
 
 def plan_satisfiable(plan: Plan) -> bool:
-    """Whether the plan's predicate conjunction has any model."""
+    """Whether the plan's predicate conjunction has any model. Plans the
+    verifier cannot flatten (non-inner joins) or the solver cannot decide
+    are kept."""
     try:
         return satisfiable(list(flatten(plan).constraints))
-    except Exception:
-        return True  # conservatively keep plans the solver can't handle
+    except (ValueError, SolverError):
+        return True
 
 
 def perturb(plan: Plan, g: np.random.Generator) -> Plan:

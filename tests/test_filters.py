@@ -4,17 +4,20 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
+from repro.encoding.instance import schema_vocab
 from repro.filters import vmf as vmf_module
-from repro.filters.emf_filter import emf_scores
-from repro.filters.keys import sf_key
-from repro.filters.schema_filter import (
-    sf_groups,
-    sf_pair_pass,
-    sf_pairs,
+from repro.filters.emf_filter import emf_scores, emf_scores_workload
+from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
+from repro.filters.vmf import (
+    calibrate_tau,
+    candidate_pairs,
+    group_pairs,
+    pair_distances,
+    radius_join,
 )
-from repro.filters.vmf import VMF, calibrate_tau, radius_join
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
-from repro.workload.schema import TPCDS_LITE, TPCH_LITE
+from repro.workload.schema import TPCH_LITE, Schema, Table
 from tests.test_plan import fig1_q1, fig1_q2
 
 
@@ -29,8 +32,8 @@ def tau(emf_model):
     return calibrate_tau(emf_model, [(p.p1, p.p2) for p in pos])
 
 
-def test_sf_pair_pass_figure1():
-    assert sf_pair_pass(fig1_q1(), fig1_q2())
+def test_sf_keys_equal_figure1():
+    assert sf_key(fig1_q1()) == sf_key(fig1_q2())
 
 
 def test_sf_groups_partition(workload):
@@ -44,7 +47,7 @@ def test_sf_groups_partition(workload):
 def test_sf_admits_all_planted(workload):
     """SF must not reject any true equivalence (planted pairs share keys)."""
     for i, j in workload.planted:
-        assert sf_pair_pass(workload.plans[i], workload.plans[j])
+        assert sf_key(workload.plans[i]) == sf_key(workload.plans[j])
 
 
 def test_sf_pairs_are_the_same_group_pairs(workload):
@@ -105,22 +108,20 @@ def test_vmf_group_pairs_pass_out_of_space_groups_through(monkeypatch):
 
     monkeypatch.setattr(vmf_module, "group_candidate_pairs", out_of_space)
     plans = [fig1_q1(), fig1_q2(), fig1_q1()]
-    assert VMF(None).group_pairs(plans) == {(0, 1), (0, 2), (1, 2)}
+    assert group_pairs(None, plans, tau=1.0) == {(0, 1), (0, 2), (1, 2)}
 
 
 def test_vmf_candidates_are_the_exact_radius_join(emf_model, tau, workload):
-    vmf = VMF(emf_model, tau=tau)
     for idxs in sf_groups(workload.plans).values():
         local = [workload.plans[i] for i in idxs]
         if len(local) < 2:
             continue
         Z = vmf_module.embed_group(emf_model, local)
-        assert vmf.group_pairs(local) == _brute_force_radius(Z, tau)
+        assert group_pairs(emf_model, local, tau=tau) == _brute_force_radius(Z, tau)
 
 
 def test_vmf_high_recall_on_planted(emf_model, tau, workload):
-    vmf = VMF(emf_model, tau=tau)
-    cand = vmf.candidate_pairs(workload.plans)
+    cand = candidate_pairs(emf_model, workload.plans, tau=tau)
     found = sum(1 for p in workload.planted if p in cand)
     assert found >= len(workload.planted) - 1  # near-perfect recall
     # and it prunes: candidates well below SF-pair count
@@ -131,8 +132,26 @@ def test_vmf_high_recall_on_planted(emf_model, tau, workload):
 
 
 def test_vmf_pair_distance_zero_for_identical(emf_model):
-    vmf = VMF(emf_model)
-    assert vmf.pair_distance(fig1_q1(), fig1_q1()) < 1e-9
+    assert pair_distances(emf_model, [(fig1_q1(), fig1_q1())])[0] < 1e-9
+
+
+# A table wider than the agnostic space's 7 column symbols: a plan that
+# references all 8 of its columns cannot be encoded.
+WIDE = Table("wide", tuple(f"c{k}" for k in range(8)))
+
+
+def _wide_plan(n_cols: int, bound: float):
+    scan = Scan("wide", "wide")
+    pred = Comparison(Col("wide", "c0"), ">", Const(bound))
+    return Project(tuple(Col("wide", f"c{k}") for k in range(n_cols)), Filter(pred, scan))
+
+
+def test_pair_distances_nan_out_of_space_and_calibrate_skips_it(emf_model):
+    wide = (_wide_plan(8, 1.0), _wide_plan(8, 2.0))
+    same = (fig1_q1(), fig1_q2())
+    d = pair_distances(emf_model, [wide, same])
+    assert np.isnan(d[0]) and not np.isnan(d[1])
+    assert calibrate_tau(emf_model, [wide, same]) == max(d[1], 1e-3)
 
 
 def test_emf_scores_shape_and_range(emf_model, workload):
@@ -158,3 +177,19 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
     sr = emf_scores(emf_model, rand_pairs)
     assert sp.mean() > sr.mean() + 0.2
 
+
+
+def test_emf_scorers_agree(emf_model, workload):
+    """The pairwise encoder and the §4.2.1 converter feed the same
+    predict loop; an out-of-space pair scores exactly 1.0 on both."""
+    wide = [_wide_plan(8, 1.0), _wide_plan(8, 2.0), _wide_plan(2, 3.0), _wide_plan(3, 4.0)]
+    plans = list(workload.plans) + wide
+    n = len(workload.plans)
+    pairs = list(itertools.combinations(range(n), 2))[:300]
+    pairs += [(n, n + 1), (n + 2, n + 3)]  # out of space, then in space
+    vocab = schema_vocab(Schema("tpch_wide", TPCH_LITE.tables + (WIDE,), TPCH_LITE.edges))
+    by_pair = emf_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
+    by_converter = emf_scores_workload(emf_model, plans, pairs, vocab)
+    assert len(pairs) > 256  # more than one batch
+    np.testing.assert_allclose(by_pair, by_converter, rtol=0, atol=1e-12)
+    assert by_pair[-2] == by_converter[-2] == 1.0

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from repro.core.plan import to_json
-from repro.filters.keys import sf_key, sf_key_str
+from repro.core.plan import Col, Comparison, Join, Project, Scan, to_json
+from repro.filters.schema_filter import sf_key
+from repro.solver.fm import SolverError
 from repro.verifier.av import Verifier
+from repro.workload import labeler
 from repro.workload.generator import random_base_plan
 from repro.workload.labeler import (
     make_dataset,
@@ -12,15 +14,37 @@ from repro.workload.labeler import (
     make_planted_workload,
     make_positive_pairs,
     perturb,
+    plan_satisfiable,
 )
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_plan import fig1_q1
 
 
-def test_sf_key_and_str():
-    key = sf_key(fig1_q1())
-    assert key == (("A", "B"), 2)
-    assert sf_key_str(fig1_q1()) == "A|B#2"
+def test_sf_key():
+    assert sf_key(fig1_q1()) == (("A", "B"), 2)
+
+
+def test_plan_satisfiable_keeps_plans_the_verifier_cannot_flatten():
+    a, b = Scan("A", "A"), Scan("B", "B")
+    left = Join(a, b, Comparison(Col("A", "k"), "=", Col("B", "k")), "left")
+    assert plan_satisfiable(Project((Col("A", "x"),), left))
+
+
+def test_plan_satisfiable_propagates_unexpected_errors(monkeypatch):
+    def broken(constraints):
+        raise TypeError("a bug, not an undecidable plan")
+
+    monkeypatch.setattr(labeler, "satisfiable", broken)
+    with pytest.raises(TypeError):
+        plan_satisfiable(fig1_q1())
+
+
+def test_plan_satisfiable_keeps_plans_the_solver_cannot_decide(monkeypatch):
+    def undecided(constraints):
+        raise SolverError("too many disequalities")
+
+    monkeypatch.setattr(labeler, "satisfiable", undecided)
+    assert plan_satisfiable(fig1_q1())
 
 
 def test_positive_pairs_are_av_equivalent():
