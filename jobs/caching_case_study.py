@@ -1,6 +1,6 @@
 """Result caching case study job (§7.7 / Figure 15) on Spark +
 TPC-H-lite. Usage:
-``spark-submit jobs/caching_case_study.py [n_queries] [sf]``"""
+``spark-submit jobs/caching_case_study.py [n_classes] [sf]``"""
 import sys
 
 from _common import emit, standalone_session
@@ -12,7 +12,6 @@ def run(spark, n_classes: int = 6, sf: float = 0.2) -> str:
 
     res = caching_study.run(
         spark, default_model(), n_classes=n_classes, sf=sf,
-        budgets=(0.1, 0.25, 0.5, 0.75, 1.0),
         cache_dir="results/cache", seed=600,
     )
     return res.markdown()

@@ -1,28 +1,29 @@
-"""DB-agnostic encoding (§4.2): symbolization + matrix converter.
+"""DB-agnostic encoding (§4.2): symbolic slots + matrix converter.
 
 A pair (or SF-group) of subexpressions is generalized into a *pattern*:
-referenced tables become symbols ``t0..t{n-1}`` (lexicographic order of
-base-table names), referenced columns become ``t{i}.c{j}`` (lexicographic
-within table). The resulting ``NV_α`` vector layout is the instance
-layout over the symbolic vocabulary, so one trained EMF transfers across
-schemas and workloads.
+the group's referenced tables take table slots ``0..n-1`` (lexicographic
+order of base-table names), and each table's referenced columns take
+that table's column slots (lexicographic within the table). The
+resulting ``NV_α`` vector is the instance layout (§4.1) over that fixed
+slot vocabulary, so one trained EMF transfers across schemas and
+workloads. :func:`group_vocab` is the one place the slots are assigned.
 
-Two implementations, which must agree (tested):
+Two encoders use it, and must agree (tested):
 
-- **direct** — re-encode the plans against the symbolic vocabulary;
-- **converter** (§4.2.1) — transform already-computed instance matrices
-  by masking unreferenced table/column one-hot positions and scattering
-  the survivors into the fixed symbolic layout. This is the paper's
-  "lightweight converter" that avoids the O(n²) re-encoding walk; a
-  batched tensor variant (§4.2.2) converts many pairs at once.
+- **direct** — encode the plans against the group's slot vocabulary;
+- **converter** (§4.2.1) — transform already-computed instance matrices:
+  read the referenced tables and columns off their one-hot masks and
+  scatter those positions into the group's slots. This is the paper's
+  "lightweight converter" that avoids re-walking every plan per pair.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.plan import JOIN_TYPES, Plan, alias_map, base_tables
+from repro.core.plan import JOIN_TYPES, Plan, alias_map
 from repro.core.subexpr import referenced_columns
 from repro.encoding.instance import TreeEnc, Vocab, encode_tree
 from repro.solver.linexpr import OPS
@@ -30,119 +31,64 @@ from repro.solver.linexpr import OPS
 
 @dataclass(frozen=True)
 class AgnosticSpace:
-    """Symbolic vocabulary bounds: ``n_tables`` symbols × ``cols_per_table``."""
+    """Slot bounds: ``n_tables`` table slots × ``cols_per_table``."""
 
     n_tables: int = 6
     cols_per_table: int = 7
 
     @property
-    def vocab(self) -> Vocab:
-        tables = tuple(f"t{i}" for i in range(self.n_tables))
-        columns = tuple(
-            f"t{i}.c{j}"
-            for i in range(self.n_tables)
-            for j in range(self.cols_per_table)
-        )
-        return Vocab(tables, columns)
+    def nv_size(self) -> int:
+        n_c = self.n_tables * self.cols_per_table
+        return Vocab((None,) * self.n_tables, (None,) * n_c).nv_size
 
 
 DEFAULT_SPACE = AgnosticSpace()
 
 
-def symbol_maps(
-    plans: list[Plan], space: AgnosticSpace = DEFAULT_SPACE
-) -> tuple[dict[str, str], dict[str, str]]:
-    """(table → symbol, "table.col" → "symbol.col-symbol") for a group.
+def group_vocab(cols_by_table: Mapping[str, Iterable[str]]) -> Vocab:
+    """The slot vocabulary of a group that references ``cols_by_table``
+    (base table → its referenced column names).
 
-    Order is lexicographic on base names — the same order the instance
-    vocabulary uses, which is what makes the matrix converter agree with
-    direct symbolization.
+    The i-th table (lexicographic) takes table slot ``i``; its j-th
+    column (lexicographic) takes column slot ``i * cols_per_table + j``.
+    Unused slots hold ``None``. Raises ``ValueError`` when the group has
+    more tables, or a table more columns, than :data:`DEFAULT_SPACE`.
     """
-    tables = sorted({t for p in plans for t in base_tables(p)})
-    if len(tables) > space.n_tables:
-        raise ValueError(f"{len(tables)} tables exceed space {space.n_tables}")
-    tmap = {t: f"t{i}" for i, t in enumerate(tables)}
-    cols_by_table: dict[str, set[str]] = {t: set() for t in tables}
-    for p in plans:
-        amap = alias_map(p)
-        for c in referenced_columns(p):
-            cols_by_table[amap[c.alias]].add(c.column)
-    cmap: dict[str, str] = {}
-    for t in tables:
-        cols = sorted(cols_by_table[t])
-        if len(cols) > space.cols_per_table:
+    n, m = DEFAULT_SPACE.n_tables, DEFAULT_SPACE.cols_per_table
+    tables = sorted(cols_by_table)
+    if len(tables) > n:
+        raise ValueError(f"{len(tables)} tables exceed the agnostic space's {n}")
+    columns: list[str | None] = [None] * (n * m)
+    for i, t in enumerate(tables):
+        cols = sorted(set(cols_by_table[t]))
+        if len(cols) > m:
             raise ValueError(
-                f"{len(cols)} referenced columns in {t} exceed space "
-                f"{space.cols_per_table}"
+                f"{len(cols)} referenced columns in {t} exceed the agnostic "
+                f"space's {m}"
             )
-        for j, c in enumerate(cols):
-            cmap[f"{t}.{c}"] = f"{tmap[t]}.c{j}"
-    return tmap, cmap
+        columns[i * m : i * m + len(cols)] = [f"{t}.{c}" for c in cols]
+    return Vocab(tuple(tables) + (None,) * (n - len(tables)), tuple(columns))
 
 
-def _symbolize_plan(plan: Plan, tmap: dict[str, str], cmap: dict[str, str]) -> Plan:
-    """Rewrite a plan onto the symbolic vocabulary (direct path)."""
-    from repro.core.plan import (
-        BinOp,
-        Col,
-        Comparison,
-        Const,
-        Filter,
-        Join,
-        Project,
-        Scan,
-        alias_map,
-    )
-
-    amap = alias_map(plan)
-
-    def re_col(c: Col) -> Col:
-        sym = cmap[f"{amap[c.alias]}.{c.column}"]
-        st, sc = sym.split(".", 1)
-        return Col(st, sc)
-
-    def re_expr(e):
-        if isinstance(e, Col):
-            return re_col(e)
-        if isinstance(e, Const):
-            return e
-        return BinOp(e.op, re_expr(e.left), re_expr(e.right))
-
-    def walk(n) -> Plan:
-        if isinstance(n, Scan):
-            s = tmap[n.table]
-            return Scan(s, s)
-        if isinstance(n, Filter):
-            p = n.pred
-            return Filter(Comparison(re_expr(p.lhs), p.op, re_expr(p.rhs)), walk(n.child))
-        if isinstance(n, Join):
-            p = n.pred
-            return Join(
-                walk(n.left), walk(n.right),
-                Comparison(re_expr(p.lhs), p.op, re_expr(p.rhs)), n.jointype,
-            )
-        return Project(tuple(re_col(c) for c in n.cols), walk(n.child))
-
-    return walk(plan)
-
-
-def encode_group_agnostic(
-    plans: list[Plan], space: AgnosticSpace = DEFAULT_SPACE
-) -> list[TreeEnc]:
+def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
     """Direct n-ary db-agnostic encoding of a group of subexpressions.
 
     With ``len(plans) == 2`` this is the pairwise encoding of §4.2; the
     n-ary variant (§4.2.2) is what the VMF applies per SF-group.
     """
-    tmap, cmap = symbol_maps(plans, space)
-    vocab = space.vocab
-    return [encode_tree(_symbolize_plan(p, tmap, cmap), vocab) for p in plans]
+    cols_by_table: dict[str, set[str]] = {}
+    for p in plans:
+        amap = alias_map(p)
+        for t in amap.values():
+            cols_by_table.setdefault(t, set())
+        for c in referenced_columns(p):
+            cols_by_table[amap[c.alias]].add(c.column)
+    vocab = group_vocab(cols_by_table)
+    return [encode_tree(p, vocab) for p in plans]
 
 
-def encode_pair_agnostic(
-    p1: Plan, p2: Plan, space: AgnosticSpace = DEFAULT_SPACE
-) -> tuple[TreeEnc, TreeEnc]:
-    a, b = encode_group_agnostic([p1, p2], space)
+def encode_pair_agnostic(p1: Plan, p2: Plan) -> tuple[TreeEnc, TreeEnc]:
+    a, b = encode_group_agnostic([p1, p2])
     return a, b
 
 
@@ -151,82 +97,53 @@ def encode_pair_agnostic(
 # --------------------------------------------------------------------------
 
 
-def _referenced_indices(encs: list[TreeEnc], vocab: Vocab) -> tuple[np.ndarray, np.ndarray]:
-    """(referenced table indices, referenced column indices), from the
-    matrices alone — the column-wise union ``r`` of §4.2.1."""
+def convert_group(encs: list[TreeEnc], vocab: Vocab) -> list[TreeEnc]:
+    """Convert instance encodings (over ``vocab``) of a group to
+    db-agnostic encodings without touching the plans.
+
+    The column-wise union of the group's table and column one-hots (the
+    ``m_T``/``m_C`` masks of §4.2.1) names the referenced tables and
+    columns; :func:`group_vocab` gives their slots. Agrees bit-for-bit
+    with :func:`encode_group_agnostic` (tested).
+    """
     t_mask = np.zeros(vocab.n_t, dtype=bool)
     c_mask = np.zeros(vocab.n_c, dtype=bool)
     for e in encs:
-        X = e.X
-        t_mask |= X[:, vocab.off_table : vocab.off_table + vocab.n_t].any(axis=0)
-        c_mask |= X[:, vocab.off_join_cl : vocab.off_join_cl + vocab.n_c].any(axis=0)
-        c_mask |= X[:, vocab.off_join_cr : vocab.off_join_cr + vocab.n_c].any(axis=0)
-        c_mask |= X[:, vocab.off_sel_c : vocab.off_sel_c + vocab.n_c].any(axis=0)
-    return np.nonzero(t_mask)[0], np.nonzero(c_mask)[0]
-
-
-def convert_group(
-    encs: list[TreeEnc], vocab: Vocab, space: AgnosticSpace = DEFAULT_SPACE
-) -> list[TreeEnc]:
-    """Convert instance encodings of a group to db-agnostic encodings
-    without touching the plans.
-
-    Gathers the referenced table/column one-hot positions (union over
-    the group — the ``m_T``/``m_C`` masks of §4.2.1) and scatters them
-    into the symbolic layout. Agrees bit-for-bit with
-    :func:`encode_group_agnostic` (tested) because both order symbols
-    lexicographically by base name, which is also the instance
-    vocabulary's column order.
-    """
-    t_idx, c_idx = _referenced_indices(encs, vocab)
-    if len(t_idx) > space.n_tables:
-        raise ValueError("referenced tables exceed agnostic space")
-    av = space.vocab
-    # table scatter: i-th referenced table (ascending) → symbol i
-    t_new = np.arange(len(t_idx))
-    # column scatter: j-th referenced column of symbol-table i → slot i*m + j
-    table_of_col = np.array(
-        [vocab.tables.index(key.split(".", 1)[0]) for key in vocab.columns]
-    )
-    t_sym_of = {int(old): int(new) for old, new in zip(t_idx, t_new)}
-    c_new = np.empty(len(c_idx), dtype=np.int64)
-    per_table_count: dict[int, int] = {}
-    for k, old in enumerate(c_idx):
-        ti = t_sym_of[int(table_of_col[old])]
-        j = per_table_count.get(ti, 0)
-        if j >= space.cols_per_table:
-            raise ValueError("referenced columns exceed agnostic space")
-        per_table_count[ti] = j + 1
-        c_new[k] = ti * space.cols_per_table + j
-
+        t_mask |= e.X[:, vocab.off_table : vocab.off_table + vocab.n_t].any(axis=0)
+        for off in (vocab.off_join_cl, vocab.off_join_cr, vocab.off_sel_c):
+            c_mask |= e.X[:, off : off + vocab.n_c].any(axis=0)
+    t_idx, c_idx = np.nonzero(t_mask)[0], np.nonzero(c_mask)[0]
+    cols_by_table: dict[str, list[str]] = {vocab.tables[i]: [] for i in t_idx}
+    for k in c_idx:
+        t, c = vocab.columns[k].split(".", 1)
+        cols_by_table[t].append(c)
+    av = group_vocab(cols_by_table)
+    t_new = np.array([av.table_idx(vocab.tables[i]) for i in t_idx], dtype=np.intp)
+    c_new = np.array([av.col_idx(vocab.columns[k]) for k in c_idx], dtype=np.intp)
+    # table and column one-hots move to their slots
+    src = np.concatenate([vocab.off_table + t_idx] + [
+        off + c_idx for off in (vocab.off_join_cl, vocab.off_join_cr, vocab.off_sel_c)
+    ])
+    dst = np.concatenate([av.off_table + t_new] + [
+        off + c_new for off in (av.off_join_cl, av.off_join_cr, av.off_sel_c)
+    ])
     out: list[TreeEnc] = []
     for e in encs:
         X = e.X
         Xa = np.zeros((X.shape[0], av.nv_size), dtype=np.float32)
-        # table segment
-        Xa[:, av.off_table + t_new] = X[:, vocab.off_table + t_idx]
-        # three column segments
-        Xa[:, av.off_join_cl + c_new] = X[:, vocab.off_join_cl + c_idx]
-        Xa[:, av.off_join_cr + c_new] = X[:, vocab.off_join_cr + c_idx]
-        Xa[:, av.off_sel_c + c_new] = X[:, vocab.off_sel_c + c_idx]
-        # op / join-type / const / null segments copy through
+        Xa[:, dst] = X[:, src]
+        # join op, join type, and select op ⊕ const ⊕ null copy through
         Xa[:, av.off_join_op : av.off_join_op + len(OPS)] = X[
             :, vocab.off_join_op : vocab.off_join_op + len(OPS)
         ]
         Xa[:, av.off_join_jt : av.off_join_jt + len(JOIN_TYPES)] = X[
             :, vocab.off_join_jt : vocab.off_join_jt + len(JOIN_TYPES)
         ]
-        Xa[:, av.off_sel_op : av.off_sel_op + len(OPS)] = X[
-            :, vocab.off_sel_op : vocab.off_sel_op + len(OPS)
-        ]
-        Xa[:, av.off_const] = X[:, vocab.off_const]
-        Xa[:, av.off_null] = X[:, vocab.off_null]
+        Xa[:, av.off_sel_op :] = X[:, vocab.off_sel_op :]
         out.append(TreeEnc(Xa, e.left.copy(), e.right.copy()))
     return out
 
 
-def convert_pair(
-    e1: TreeEnc, e2: TreeEnc, vocab: Vocab, space: AgnosticSpace = DEFAULT_SPACE
-) -> tuple[TreeEnc, TreeEnc]:
-    a, b = convert_group([e1, e2], vocab, space)
+def convert_pair(e1: TreeEnc, e2: TreeEnc, vocab: Vocab) -> tuple[TreeEnc, TreeEnc]:
+    a, b = convert_group([e1, e2], vocab)
     return a, b

@@ -15,9 +15,9 @@ Deviations, documented per DESIGN.md:
 - Predicates are canonicalized constraints over linear expressions, so
   a "join-style" predicate may carry a constant (``A.val - B.val > 10``);
   the constant lands in the select segment's constant slot.
-- ``norm(v)`` is the fixed squash ``v/(1+|v|)`` rather than workload
-  min-max: db-agnostic transfer (§4.2) forbids workload-global
-  statistics.
+- ``norm(v)`` is the fixed scaling ``clip(v/64, −2, 2)``
+  (:func:`norm_const`) rather than workload min-max: db-agnostic
+  transfer (§4.2) forbids workload-global statistics.
 - Columns are identified by *base table*, so self-joins alias-collapse;
   the workload generator emits distinct-table joins only.
 
@@ -45,10 +45,14 @@ from repro.solver.linexpr import OPS, Constraint
 
 @dataclass(frozen=True)
 class Vocab:
-    """Encoding vocabulary: tables, columns (grouped by table), ops, joins."""
+    """Encoding vocabulary: tables, columns (grouped by table), ops, joins.
 
-    tables: tuple[str, ...]
-    columns: tuple[str, ...]  # "table.col", sorted by (table, col)
+    A db-agnostic slot vocabulary (:func:`repro.encoding.agnostic.group_vocab`)
+    holds ``None`` in the slots its group leaves unused.
+    """
+
+    tables: tuple[str | None, ...]
+    columns: tuple[str | None, ...]  # "table.col", sorted by (table, col)
 
     @property
     def n_t(self) -> int:

@@ -21,7 +21,7 @@ from repro.workload.schema import TPCH_LITE
 TRAIN_PAIRS = 2000  # per class
 EPOCHS = 30
 CONFIG = EMFConfig(
-    d_in=DEFAULT_SPACE.vocab.nv_size,
+    d_in=DEFAULT_SPACE.nv_size,
     conv=(96, 64),
     fc=(64, 32),
     dropout=0.2,

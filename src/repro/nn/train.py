@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.agnostic import DEFAULT_SPACE, AgnosticSpace, encode_pair_agnostic
+from repro.encoding.agnostic import encode_pair_agnostic
 from repro.encoding.instance import TreeEnc
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
@@ -66,25 +66,20 @@ class PairTensors:
 
 
 def encode_pairs(
-    pairs: list[LabeledPair],
-    space: AgnosticSpace = DEFAULT_SPACE,
-    *,
-    canonical: bool = True,
-    pad_to: int | None = None,
+    pairs: list[LabeledPair], *, pad_to: int | None = None
 ) -> PairTensors:
-    """DB-agnostic pairwise encoding of a labeled dataset (§4.2).
+    """DB-agnostic pairwise encoding of a labeled dataset (§4.2), padded
+    to the largest node count (at least ``pad_to``).
 
     Plans are structurally canonicalized first
-    (:mod:`repro.encoding.canonical_form`) unless ``canonical=False``.
+    (:mod:`repro.encoding.canonical_form`).
     """
     from repro.encoding.canonical_form import canonical_plan
 
     enc_a, enc_b, ys = [], [], []
     for p in pairs:
-        p1 = canonical_plan(p.p1) if canonical else p.p1
-        p2 = canonical_plan(p.p2) if canonical else p.p2
         try:
-            ea, eb = encode_pair_agnostic(p1, p2, space)
+            ea, eb = encode_pair_agnostic(canonical_plan(p.p1), canonical_plan(p.p2))
         except ValueError:
             continue  # exceeds the agnostic space — drop, as the paper's n/m bound does
         enc_a.append(ea)

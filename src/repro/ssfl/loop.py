@@ -21,7 +21,7 @@ from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import candidate_pairs
 from repro.nn.model import EMF
 from repro.nn.optim import Adam
-from repro.nn.train import PairTensors, encode_pairs, predict, train_emf
+from repro.nn.train import encode_pairs, predict, train_emf
 from repro.verifier.av import Verifier
 from repro.workload.labeler import LabeledPair
 
@@ -137,7 +137,7 @@ def ssfl(
         for k in monitor_idx
     ]
     monitor_data = encode_pairs(monitor)
-    accumulated: PairTensors | None = None
+    accumulated: list[LabeledPair] = []
     for _ in range(max_iterations):
         probas = predict(model, monitor_data)
         cl = confidence_level(probas, threshold)
@@ -155,34 +155,12 @@ def ssfl(
         result.iterations += 1
         if not sample:
             continue
-        new = encode_pairs(sample)
-        accumulated = new if accumulated is None else _concat(accumulated, new)
+        accumulated += sample
         train_emf(
-            model, accumulated, epochs=fine_tune_epochs, batch_size=64,
+            model, encode_pairs(accumulated), epochs=fine_tune_epochs, batch_size=64,
             seed=int(rng.integers(0, 2**31)), optimizer=opt,
         )
     probas = predict(model, monitor_data)
     result.confidences.append(confidence_level(probas, threshold))
     return result
 
-
-def _concat(a: PairTensors, b: PairTensors) -> PairTensors:
-    """Concatenate two PairTensors, re-padding to the larger node count."""
-    ma, mb = a.a[0].shape[1], b.a[0].shape[1]
-    m = max(ma, mb)
-
-    def grow(t, target):
-        X, L, R, mask = t
-        if X.shape[1] == target:
-            return t
-        pad = target - X.shape[1]
-        X2 = np.pad(X, ((0, 0), (0, pad), (0, 0)))
-        L2 = np.pad(L, ((0, 0), (0, pad)), constant_values=-1)
-        R2 = np.pad(R, ((0, 0), (0, pad)), constant_values=-1)
-        m2 = np.pad(mask, ((0, 0), (0, pad)))
-        return (X2, L2, R2, m2)
-
-    aa, ab = grow(a.a, m), grow(a.b, m)
-    ba, bb = grow(b.a, m), grow(b.b, m)
-    join = lambda t1, t2: tuple(np.concatenate([x, y]) for x, y in zip(t1, t2))
-    return PairTensors(join(aa, ba), join(ab, bb), np.concatenate([a.y, b.y]))

@@ -1,40 +1,49 @@
-"""DB-agnostic encoding tests (§4.2) — symbolization, converter parity,
+"""DB-agnostic encoding tests (§4.2) — slot vocabulary, converter parity,
 transfer invariance. Covers the Table 2 symbolization example."""
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core.plan import rename_aliases
 from repro.encoding.agnostic import (
-    AgnosticSpace,
     convert_group,
     convert_pair,
     encode_group_agnostic,
     encode_pair_agnostic,
-    symbol_maps,
+    group_vocab,
 )
 from repro.encoding.instance import encode_tree, schema_vocab
 from repro.workload.generator import random_plans
-from repro.workload.schema import TPCDS_LITE, TPCH_LITE
+from repro.workload.schema import TPCDS_LITE, TPCH_LITE, Schema, Table
 from tests.test_plan import fig1_q1, fig1_q2
 
 
-def test_symbol_maps_table2_example():
-    """Table 2: A→t1, B→t2 (0-indexed here), columns in lexicographic order."""
-    tmap, cmap = symbol_maps([fig1_q1(), fig1_q2()])
-    assert tmap == {"A": "t0", "B": "t1"}
-    assert cmap["A.joinKey"] == "t0.c0"
-    assert cmap["A.val"] == "t0.c1"
-    assert cmap["A.x"] == "t0.c2"
-    assert cmap["B.joinKey"] == "t1.c0"
-    assert cmap["B.val"] == "t1.c1"
-    assert cmap["B.y"] == "t1.c2"
+def test_group_vocab_table2_example():
+    """Table 2: A→t1, B→t2 (0-indexed slots here), columns in
+    lexicographic order within each table."""
+    vocab = group_vocab({"B": ["y", "val", "joinKey"], "A": ["x", "joinKey", "val"]})
+    assert vocab.tables == ("A", "B", None, None, None, None)
+    slots = {k: vocab.col_idx(k) for k in vocab.columns if k is not None}
+    assert slots == {
+        "A.joinKey": 0, "A.val": 1, "A.x": 2,
+        "B.joinKey": 7, "B.val": 8, "B.y": 9,
+    }
+    # the Figure 1 pair references exactly these columns
+    X = np.vstack([e.X for e in encode_pair_agnostic(fig1_q1(), fig1_q2())])
+    used = set()
+    for off in (vocab.off_join_cl, vocab.off_join_cr, vocab.off_sel_c):
+        used |= set(np.nonzero(X[:, off : off + vocab.n_c].any(axis=0))[0].tolist())
+    assert used == set(slots.values())
 
 
-def test_symbol_maps_bounds_enforced():
+def test_group_vocab_bounds_enforced():
+    group_vocab({f"T{i}": ["c"] for i in range(6)})
+    group_vocab({"A": [f"c{j}" for j in range(7)]})
     with pytest.raises(ValueError):
-        symbol_maps([fig1_q1()], AgnosticSpace(n_tables=1))
+        group_vocab({f"T{i}": ["c"] for i in range(7)})
     with pytest.raises(ValueError):
-        symbol_maps([fig1_q1()], AgnosticSpace(cols_per_table=2))
+        group_vocab({"A": [f"c{j}" for j in range(8)]})
 
 
 def test_agnostic_encoding_invariant_under_schema_renaming():
@@ -62,14 +71,17 @@ def test_agnostic_encoding_invariant_under_schema_renaming():
 
 
 def test_converter_matches_direct_fig1():
+    """Also with aliases that sort opposite to their tables (A AS z,
+    B AS a), which order a predicate's columns differently."""
     vocab = schema_vocab_ab()
-    i1 = encode_tree(fig1_q1(), vocab)
-    i2 = encode_tree(fig1_q2(), vocab)
-    c1, c2 = convert_pair(i1, i2, vocab)
-    d1, d2 = encode_pair_agnostic(fig1_q1(), fig1_q2())
-    assert np.array_equal(c1.X, d1.X)
-    assert np.array_equal(c2.X, d2.X)
-    assert np.array_equal(c1.left, d1.left)
+    for aliases in ({}, {"A": "z", "B": "a"}):
+        q1 = rename_aliases(fig1_q1(), aliases)
+        q2 = rename_aliases(fig1_q2(), aliases)
+        c1, c2 = convert_pair(encode_tree(q1, vocab), encode_tree(q2, vocab), vocab)
+        d1, d2 = encode_pair_agnostic(q1, q2)
+        assert np.array_equal(c1.X, d1.X)
+        assert np.array_equal(c2.X, d2.X)
+        assert np.array_equal(c1.left, d1.left)
 
 
 def schema_vocab_ab():
@@ -121,3 +133,45 @@ def test_pairwise_encoding_depends_on_partner():
     e_same, _ = encode_pair_agnostic(p, same[0])
     assert e_diff.X.shape == e_same.X.shape  # fixed NV_α size
     assert not np.array_equal(e_diff.X, e_same.X)
+
+
+# 9 tables of 10 columns in a chain: groups can exceed the agnostic
+# space's 6 tables and its 7 columns per table.
+WIDE = Schema(
+    "wide",
+    tuple(Table(f"w{i}", tuple(f"c{j}" for j in range(10))) for i in range(9)),
+    tuple((f"w{i}", f"c{i}", f"w{i + 1}", f"c{9 - i}") for i in range(8)),
+)
+
+
+@pytest.mark.parametrize(
+    "pool", [None, ("w3", "w4", "w5")], ids=["all-tables", "three-tables"]
+)
+def test_encoders_agree_outside_the_space(pool):
+    """Direct encoding and the converter raise on the same groups and
+    agree bit-for-bit on the rest. Groups over all nine tables exceed
+    the table bound; groups over three tables can only exceed the
+    column bound."""
+    vocab = schema_vocab(WIDE)
+    plans = random_plans(WIDE, 120, seed=7, tables=pool)
+    raised = kept = 0
+    start = 0
+    for size in itertools.cycle(range(2, 9)):
+        group = plans[start : start + size]
+        if len(group) < size:
+            break
+        start += size
+        encs = [encode_tree(p, vocab) for p in group]
+        try:
+            direct = encode_group_agnostic(group)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                convert_group(encs, vocab)
+            continue
+        kept += 1
+        for d, c in zip(direct, convert_group(encs, vocab)):
+            assert np.array_equal(d.X, c.X)
+            assert np.array_equal(d.left, c.left)
+            assert np.array_equal(d.right, c.right)
+    assert raised and kept

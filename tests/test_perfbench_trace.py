@@ -37,10 +37,14 @@ def test_traced_call_sees_every_filter_layer(tracing, emf_model):
     with tracer.call(patches):
         res = geqo_set_local(w.plans, emf_model, tau=1.0)
     summary = tracer.summary(tracer.call_id)
-    groups = sum(len(ids) > 1 for ids in sf_groups(w.plans).values())
+    multi = [ids for ids in sf_groups(w.plans).values() if len(ids) > 1]
+    groups = len(multi)
     assert summary["vmf.group"]["count"] == groups
     assert summary["vmf.embed_group"]["count"] == groups
+    assert summary["nn.embed_eval"]["count"] == groups
+    assert tracer.counts["vmf.embed_rows"] == sum(map(len, multi))
     assert summary["emf.scores"]["count"] == groups
     assert tracer.counts["emf.pairs"] == res.survivors["VMF"]
+    assert summary["emf.encode_pair"]["count"] == res.survivors["VMF"]
     assert summary.get("av.equivalent", {}).get("count", 0) == res.av_pairs_checked
     assert [owner.__dict__[attr] for owner, attr, _ in patches] == originals

@@ -29,7 +29,7 @@ def _degenerate_model(seed=0):
         families=tuple(SYNTACTIC) + tuple(NORMALIZATION),
     )
     data = encode_pairs(ds)
-    cfg = EMFConfig(d_in=DEFAULT_SPACE.vocab.nv_size, conv=(96, 64),
+    cfg = EMFConfig(d_in=DEFAULT_SPACE.nv_size, conv=(96, 64),
                     fc=(64, 32), dropout=0.2, seed=seed)
     model = EMF(cfg)
     train_emf(model, data, epochs=3, batch_size=32, seed=seed)
