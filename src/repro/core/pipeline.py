@@ -1,8 +1,8 @@
 """The GEqO cascade (§2.2): SF → VMF → EMF → AV.
 
 The SF keys every subexpression on the driver, and every later stage
-works inside one SF-group: :func:`cascade_group`. The two
-implementations of ``GEqO_SET`` (Equation 1) are thin maps over it:
+works inside one SF-group: :func:`cascade_group`, which encodes each
+plan once for both the VMF and the EMF. The two implementations of ``GEqO_SET`` (Equation 1) are thin maps over it:
 
 - :func:`geqo_set_spark` — one Spark stage without a shuffle: one row
   per SF-group, `mapInPandas` with the model weights broadcast once.
@@ -11,8 +11,8 @@ implementations of ``GEqO_SET`` (Equation 1) are thin maps over it:
   task overhead would drown the measured quantity.
 
 A pair dropped by a stage never reaches the next. Both return a
-:class:`PipelineResult` with per-stage survivor counts and times, which
-the Table 1 / ablation experiments report.
+:class:`PipelineResult` with per-stage survivor counts, times and
+pass-throughs, which the Table 1 / ablation experiments report.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pyspark.sql import SparkSession
 
 from repro.core.plan import Plan, from_json, to_json
+from repro.encoding.agnostic import instance_group
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import DEFAULT_TAU, group_pairs
@@ -37,16 +38,18 @@ CASCADE = ("SF", "VMF", "EMF")
 class PipelineResult:
     """Output of one ``GEqO_SET`` call (or of one SF-group).
 
-    ``survivors`` and ``times`` are keyed by stage. ``times`` are
-    seconds: under :func:`geqo_set_spark` the SF seconds are driver wall
-    time, and the VMF, EMF and AV seconds are task seconds summed over
-    SF-groups, which run in parallel.
+    ``survivors``, ``times`` and ``passthrough`` (out-of-space SF-groups
+    the VMF passed whole, pairs the EMF scored 1.0) are keyed by stage.
+    ``times`` are seconds: under :func:`geqo_set_spark` the SF seconds
+    are driver wall time, and the VMF, EMF and AV seconds are task
+    seconds summed over SF-groups, which run in parallel.
     """
 
     pairs: set[tuple[int, int]]  # AV-confirmed equivalent pairs
     n_total_pairs: int
     survivors: dict[str, int] = field(default_factory=dict)  # per stage
     times: dict[str, float] = field(default_factory=dict)  # seconds
+    passthrough: dict[str, int] = field(default_factory=dict)  # VMF, EMF
     av_pairs_checked: int = 0
     av_unknown: int = 0  # AV raised: never reported as equivalent
 
@@ -62,6 +65,8 @@ class PipelineResult:
             self.survivors[stage] += k
         for stage, s in group.times.items():
             self.times[stage] += s
+        for stage, k in group.passthrough.items():
+            self.passthrough[stage] += k
         self.av_pairs_checked += group.av_pairs_checked
         self.av_unknown += group.av_unknown
 
@@ -71,6 +76,7 @@ def _empty_result(n: int, filters: tuple[str, ...]) -> PipelineResult:
     return PipelineResult(
         set(), n * (n - 1) // 2,
         survivors=dict.fromkeys(stages, 0), times=dict.fromkeys(stages, 0.0),
+        passthrough={s: 0 for s in ("VMF", "EMF") if s in filters},
     )
 
 
@@ -92,14 +98,17 @@ def cascade_group(
     pairs = list(itertools.combinations(range(len(plans)), 2))
     if "SF" in filters:
         res.survivors["SF"] = len(pairs)
+    t0 = time.perf_counter()
+    if "VMF" in filters or "EMF" in filters:
+        group = instance_group(plans)  # timed with the first model filter
     if "VMF" in filters:
-        t0 = time.perf_counter()
-        pairs = sorted(group_pairs(model, plans, tau=tau))
+        found, res.passthrough["VMF"] = group_pairs(model, group, tau=tau)
+        pairs = sorted(found)
         res.times["VMF"] = time.perf_counter() - t0
         res.survivors["VMF"] = len(pairs)
-    if "EMF" in filters:
         t0 = time.perf_counter()
-        proba = emf_scores(model, [(plans[i], plans[j]) for i, j in pairs])
+    if "EMF" in filters:
+        proba, res.passthrough["EMF"] = emf_scores(model, pairs, group)
         pairs = [p for p, s in zip(pairs, proba) if s >= EMF_THRESHOLD]
         res.times["EMF"] = time.perf_counter() - t0
         res.survivors["EMF"] = len(pairs)

@@ -15,6 +15,8 @@ Two encoders use it, and must agree (tested):
   read the referenced tables and columns off their one-hot masks and
   scatter those positions into the group's slots. This is the paper's
   "lightweight converter" that avoids re-walking every plan per pair.
+  The cascade runs on it: :func:`instance_group` encodes each plan of
+  an SF-group once, and both filters convert those encodings.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.core.plan import JOIN_TYPES, Plan, alias_map
 from repro.core.subexpr import referenced_columns
+from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import TreeEnc, Vocab, encode_tree
 from repro.solver.linexpr import OPS
 
@@ -70,12 +73,8 @@ def group_vocab(cols_by_table: Mapping[str, Iterable[str]]) -> Vocab:
     return Vocab(tuple(tables) + (None,) * (n - len(tables)), tuple(columns))
 
 
-def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
-    """Direct n-ary db-agnostic encoding of a group of subexpressions.
-
-    With ``len(plans) == 2`` this is the pairwise encoding of §4.2; the
-    n-ary variant (§4.2.2) is what the VMF applies per SF-group.
-    """
+def _referenced(plans: list[Plan]) -> dict[str, set[str]]:
+    """Base table → referenced column names, over ``plans``."""
     cols_by_table: dict[str, set[str]] = {}
     for p in plans:
         amap = alias_map(p)
@@ -83,7 +82,16 @@ def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
             cols_by_table.setdefault(t, set())
         for c in referenced_columns(p):
             cols_by_table[amap[c.alias]].add(c.column)
-    vocab = group_vocab(cols_by_table)
+    return cols_by_table
+
+
+def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
+    """Direct n-ary db-agnostic encoding of a group of subexpressions.
+
+    With ``len(plans) == 2`` this is the pairwise encoding of §4.2; the
+    n-ary variant (§4.2.2) is what the VMF applies per SF-group.
+    """
+    vocab = group_vocab(_referenced(plans))
     return [encode_tree(p, vocab) for p in plans]
 
 
@@ -95,6 +103,16 @@ def encode_pair_agnostic(p1: Plan, p2: Plan) -> tuple[TreeEnc, TreeEnc]:
 # --------------------------------------------------------------------------
 # Matrix converter (§4.2.1): instance encodings → agnostic encodings
 # --------------------------------------------------------------------------
+
+
+def instance_group(plans: list[Plan]) -> tuple[Vocab, list[TreeEnc]]:
+    """Canonicalize and instance-encode each plan of a group once, over
+    the group's referenced tables and columns (no space bound: this
+    never raises)."""
+    canon = [canonical_plan(p) for p in plans]
+    tables = sorted(cols := _referenced(canon))
+    vocab = Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
+    return vocab, [encode_tree(p, vocab) for p in canon]
 
 
 def convert_group(encs: list[TreeEnc], vocab: Vocab) -> list[TreeEnc]:

@@ -18,8 +18,8 @@ import numpy as np
 from repro.baselines.optimizer_rules import optimizer_set
 from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
-from repro.encoding.instance import schema_vocab
-from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores_workload
+from repro.encoding.agnostic import instance_group
+from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_pairs
 from repro.filters.vmf import calibrate_tau, candidate_pairs
 from repro.nn.model import EMF
@@ -152,9 +152,8 @@ def run(
     )
 
     # ---- EMF standalone (converter fast path over all pairs) --------
-    vocab = schema_vocab(TPCDS_LITE)
     t0 = time.perf_counter()
-    proba = emf_scores_workload(model, plans, all_pairs, vocab)
+    proba, _ = emf_scores(model, all_pairs, instance_group(plans))
     emf_pairs = {p for p, s in zip(all_pairs, proba) if s >= EMF_THRESHOLD}
     t_emf = time.perf_counter() - t0
     tpr, tnr = _rates(emf_pairs, truth, len(all_pairs))

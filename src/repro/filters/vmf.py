@@ -8,10 +8,12 @@ flat index): SF-groups are small, so comparing blocks of rows against
 the whole group is cheaper than building an ANN graph and cannot miss
 a pair.
 
-Both executors of :mod:`repro.core.pipeline` call :func:`group_pairs`
-once per SF-group; :func:`candidate_pairs` runs it over a whole
-workload. :func:`pair_distances` is the pairwise ``≈_VMF`` distance
-that :func:`calibrate_tau` and Table 5 use.
+A group enters as its :func:`~repro.encoding.agnostic.instance_group`,
+which the §4.2.1 converter turns into its db-agnostic encoding. Both
+executors of :mod:`repro.core.pipeline` call :func:`group_pairs` once
+per SF-group; :func:`candidate_pairs` runs it over a whole workload.
+:func:`pair_distances` is the pairwise ``≈_VMF`` distance that
+:func:`calibrate_tau` and Table 5 use.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ import itertools
 import numpy as np
 
 from repro.core.plan import Plan
-from repro.encoding.agnostic import encode_group_agnostic
-from repro.encoding.canonical_form import canonical_plan
+from repro.encoding.agnostic import convert_group, instance_group
+from repro.encoding.instance import TreeEnc, Vocab
 from repro.filters.schema_filter import sf_groups
 from repro.nn.model import EMF
 from repro.nn.train import pad_encs
@@ -31,12 +33,10 @@ TARGET_RECALL = 0.98  # quantile of positive-pair distances that τ admits
 _JOIN_BLOCK = 1 << 20  # float64 elements of one block's difference tensor
 
 
-def embed_group(model: EMF, plans: list[Plan]) -> np.ndarray:
-    """(n, h) embeddings of one SF-group under the group-wise n-ary
-    db-agnostic encoding."""
-    canon = [canonical_plan(p) for p in plans]
-    encs = encode_group_agnostic(canon)
-    X, L, R, mask = pad_encs(encs)
+def embed_group(model: EMF, group: tuple[Vocab, list[TreeEnc]]) -> np.ndarray:
+    """(n, h) embeddings of one SF-group's :func:`instance_group` under
+    the group-wise n-ary db-agnostic encoding."""
+    X, L, R, mask = pad_encs(convert_group(group[1], group[0]))
     return model.embed_eval(X, L, R, mask)
 
 
@@ -60,26 +60,25 @@ def radius_join(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
 
 
 def group_candidate_pairs(
-    model: EMF, plans: list[Plan], *, tau: float = DEFAULT_TAU
+    model: EMF, group: tuple[Vocab, list[TreeEnc]], *, tau: float = DEFAULT_TAU
 ) -> set[tuple[int, int]]:
     """Candidate pairs (local indices, i < j) within one SF-group;
     raises ``ValueError`` when the group exceeds the agnostic space."""
-    if len(plans) < 2:
-        return set()
-    return radius_join(embed_group(model, plans), tau)
+    return radius_join(embed_group(model, group), tau)
 
 
 def group_pairs(
-    model: EMF, plans: list[Plan], *, tau: float
-) -> set[tuple[int, int]]:
-    """The VMF's survivors within one SF-group (local indices, i < j).
+    model: EMF, group: tuple[Vocab, list[TreeEnc]], *, tau: float
+) -> tuple[set[tuple[int, int]], int]:
+    """The VMF's survivors within one SF-group (local indices, i < j),
+    and 1 if the group passed through whole, else 0.
 
     A group that exceeds the agnostic space passes through whole: the
     filter must not drop true equivalences."""
     try:
-        return group_candidate_pairs(model, plans, tau=tau)
+        return group_candidate_pairs(model, group, tau=tau), 0
     except ValueError:
-        return set(itertools.combinations(range(len(plans)), 2))
+        return set(itertools.combinations(range(len(group[1])), 2)), 1
 
 
 def candidate_pairs(
@@ -89,7 +88,9 @@ def candidate_pairs(
     indices, i < j)."""
     out: set[tuple[int, int]] = set()
     for idxs in sf_groups(plans).values():
-        pairs = group_pairs(model, [plans[i] for i in idxs], tau=tau)
+        if len(idxs) < 2:
+            continue
+        pairs, _ = group_pairs(model, instance_group([plans[i] for i in idxs]), tau=tau)
         out.update((idxs[a], idxs[b]) for a, b in pairs)
     return out
 
@@ -100,7 +101,7 @@ def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
     out = np.full(len(pairs), np.nan)
     for k, pair in enumerate(pairs):
         try:
-            Z = embed_group(model, list(pair))
+            Z = embed_group(model, instance_group(list(pair)))
         except ValueError:
             continue
         out[k] = np.linalg.norm(Z[0] - Z[1])

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
-from repro.encoding.instance import schema_vocab
+from repro.encoding.agnostic import encode_pair_agnostic, instance_group
+from repro.encoding.canonical_form import canonical_plan
 from repro.filters import vmf as vmf_module
-from repro.filters.emf_filter import emf_scores, emf_scores_workload
+from repro.filters.emf_filter import EMF_BATCH, emf_scores
 from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
 from repro.filters.vmf import (
     calibrate_tau,
@@ -16,8 +17,9 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
+from repro.nn.train import pad_encs
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
-from repro.workload.schema import TPCH_LITE, Schema, Table
+from repro.workload.schema import TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
 
 
@@ -107,8 +109,8 @@ def test_vmf_group_pairs_pass_out_of_space_groups_through(monkeypatch):
         raise ValueError("group exceeds the agnostic space")
 
     monkeypatch.setattr(vmf_module, "group_candidate_pairs", out_of_space)
-    plans = [fig1_q1(), fig1_q2(), fig1_q1()]
-    assert group_pairs(None, plans, tau=1.0) == {(0, 1), (0, 2), (1, 2)}
+    group = instance_group([fig1_q1(), fig1_q2(), fig1_q1()])
+    assert group_pairs(None, group, tau=1.0) == ({(0, 1), (0, 2), (1, 2)}, 1)
 
 
 def test_vmf_candidates_are_the_exact_radius_join(emf_model, tau, workload):
@@ -116,8 +118,9 @@ def test_vmf_candidates_are_the_exact_radius_join(emf_model, tau, workload):
         local = [workload.plans[i] for i in idxs]
         if len(local) < 2:
             continue
-        Z = vmf_module.embed_group(emf_model, local)
-        assert group_pairs(emf_model, local, tau=tau) == _brute_force_radius(Z, tau)
+        group = instance_group(local)
+        Z = vmf_module.embed_group(emf_model, group)
+        assert group_pairs(emf_model, group, tau=tau) == (_brute_force_radius(Z, tau), 0)
 
 
 def test_vmf_high_recall_on_planted(emf_model, tau, workload):
@@ -135,11 +138,8 @@ def test_vmf_pair_distance_zero_for_identical(emf_model):
     assert pair_distances(emf_model, [(fig1_q1(), fig1_q1())])[0] < 1e-9
 
 
-# A table wider than the agnostic space's 7 column symbols: a plan that
-# references all 8 of its columns cannot be encoded.
-WIDE = Table("wide", tuple(f"c{k}" for k in range(8)))
-
-
+# A table "wide" with 8 columns, one more than the agnostic space's 7
+# column symbols: a plan that references all 8 cannot be encoded.
 def _wide_plan(n_cols: int, bound: float):
     scan = Scan("wide", "wide")
     pred = Comparison(Col("wide", "c0"), ">", Const(bound))
@@ -155,14 +155,14 @@ def test_pair_distances_nan_out_of_space_and_calibrate_skips_it(emf_model):
 
 
 def test_emf_scores_shape_and_range(emf_model, workload):
-    pairs = [(workload.plans[i], workload.plans[j]) for i, j in list(workload.planted)[:4]]
-    s = emf_scores(emf_model, pairs)
-    assert s.shape == (4,)
+    pairs = sorted(workload.planted)[:4]
+    s, passed = emf_scores(emf_model, pairs, instance_group(workload.plans))
+    assert s.shape == (4,) and passed == 0
     assert np.all((s >= 0) & (s <= 1))
 
 
 def test_emf_scores_separate_planted_from_random(emf_model, workload):
-    planted = [(workload.plans[i], workload.plans[j]) for i, j in workload.planted]
+    planted = sorted(workload.planted)
     g = np.random.default_rng(0)
     groups = [v for v in sf_groups(workload.plans).values() if len(v) > 1]
     rand_pairs = []
@@ -172,24 +172,43 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
         i, j = g.choice(idxs, 2, replace=False)
         i, j = int(min(i, j)), int(max(i, j))
         if (i, j) not in planted_set:
-            rand_pairs.append((workload.plans[i], workload.plans[j]))
-    sp = emf_scores(emf_model, planted)
-    sr = emf_scores(emf_model, rand_pairs)
+            rand_pairs.append((i, j))
+    group = instance_group(workload.plans)
+    sp, _ = emf_scores(emf_model, planted, group)
+    sr, _ = emf_scores(emf_model, rand_pairs, group)
     assert sp.mean() > sr.mean() + 0.2
 
 
+def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
+    """From-scratch reference for :func:`emf_scores`: each pair encoded
+    by ``encode_pair_agnostic`` on its canonical plans, and predicted in
+    the same batches; an out-of-space pair scores 1.0 and is counted."""
+    out = np.ones(len(plan_pairs))
+    ks, encs = [], []
+    for k, (a, b) in enumerate(plan_pairs):
+        try:
+            encs.append(encode_pair_agnostic(canonical_plan(a), canonical_plan(b)))
+        except ValueError:
+            continue
+        ks.append(k)
+    for s in range(0, len(ks), EMF_BATCH):
+        ea, eb = zip(*encs[s : s + EMF_BATCH])
+        m = max(e.X.shape[0] for e in ea + eb)
+        out[ks[s : s + EMF_BATCH]] = model.predict_proba(pad_encs(ea, m), pad_encs(eb, m))
+    return out, len(plan_pairs) - len(ks)
+
 
 def test_emf_scorers_agree(emf_model, workload):
-    """The pairwise encoder and the §4.2.1 converter feed the same
-    predict loop; an out-of-space pair scores exactly 1.0 on both."""
+    """The §4.2.1 converter scores exactly as encoding each pair from
+    scratch; an out-of-space pair scores exactly 1.0 and is counted."""
     wide = [_wide_plan(8, 1.0), _wide_plan(8, 2.0), _wide_plan(2, 3.0), _wide_plan(3, 4.0)]
     plans = list(workload.plans) + wide
     n = len(workload.plans)
     pairs = list(itertools.combinations(range(n), 2))[:300]
     pairs += [(n, n + 1), (n + 2, n + 3)]  # out of space, then in space
-    vocab = schema_vocab(Schema("tpch_wide", TPCH_LITE.tables + (WIDE,), TPCH_LITE.edges))
-    by_pair = emf_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
-    by_converter = emf_scores_workload(emf_model, plans, pairs, vocab)
-    assert len(pairs) > 256  # more than one batch
-    np.testing.assert_allclose(by_pair, by_converter, rtol=0, atol=1e-12)
-    assert by_pair[-2] == by_converter[-2] == 1.0
+    by_converter, passed = emf_scores(emf_model, pairs, instance_group(plans))
+    reference, out = scratch_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
+    assert len(pairs) > EMF_BATCH  # more than one batch
+    np.testing.assert_array_equal(by_converter, reference)
+    assert by_converter[-2] == 1.0 and by_converter[-1] < 1.0
+    assert passed == out == 1
