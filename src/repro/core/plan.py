@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-from repro.solver.linexpr import Constraint, LinExpr, OPS
+from repro.solver.linexpr import Constraint, LinExpr, OPS, exact
 
 # --------------------------------------------------------------------------
 # Arithmetic expressions (surface form)
@@ -75,24 +75,44 @@ class BinOp:
 Expr = Col | Const | BinOp
 
 
+def _lower(e: Expr, k: int | Fraction, acc: dict[str, int | Fraction]) -> int | Fraction:
+    """Add the column terms of ``k·e`` into ``acc``; return its constant.
+
+    Each node is visited once. A product is linear only if one factor
+    is constant after lowering (``(x - x) * y`` is), so each factor of
+    ``*`` is lowered into its own dict first.
+    """
+    if isinstance(e, Col):
+        key = e.key
+        acc[key] = acc[key] + k if key in acc else k
+        return 0
+    if isinstance(e, Const):
+        return k * exact(e.value)
+    if e.op == "+":
+        return _lower(e.left, k, acc) + _lower(e.right, k, acc)
+    if e.op == "-":
+        return _lower(e.left, k, acc) + _lower(e.right, -k, acc)
+    if e.op == "*":
+        left: dict[str, int | Fraction] = {}
+        lc = _lower(e.left, 1, left)
+        if not any(left.values()):
+            return _lower(e.right, k * lc, acc)
+        right: dict[str, int | Fraction] = {}
+        rc = _lower(e.right, 1, right)
+        if any(right.values()):
+            raise ValueError(f"non-linear product: {e}")
+        k = k * rc
+        for key, v in left.items():
+            acc[key] = acc[key] + v * k if key in acc else v * k
+        return lc * k
+    raise ValueError(f"unknown arithmetic op {e.op!r}")
+
+
 def expr_to_linexpr(e: Expr) -> LinExpr:
     """Lower a surface expression to an exact linear expression."""
-    if isinstance(e, Col):
-        return LinExpr.col(e.key)
-    if isinstance(e, Const):
-        return LinExpr.lit(Fraction(e.value).limit_denominator(10**9))
-    if e.op == "+":
-        return expr_to_linexpr(e.left) + expr_to_linexpr(e.right)
-    if e.op == "-":
-        return expr_to_linexpr(e.left) - expr_to_linexpr(e.right)
-    if e.op == "*":
-        l, r = expr_to_linexpr(e.left), expr_to_linexpr(e.right)
-        if l.is_const():
-            return r * l.const
-        if r.is_const():
-            return l * r.const
-        raise ValueError(f"non-linear product: {e}")
-    raise ValueError(f"unknown arithmetic op {e.op!r}")
+    acc: dict[str, int | Fraction] = {}
+    const = _lower(e, 1, acc)
+    return LinExpr.of(acc, const)
 
 
 def expr_columns(e: Expr) -> tuple[Col, ...]:
@@ -116,7 +136,10 @@ class Comparison:
             raise ValueError(f"bad comparison op {self.op!r}")
 
     def to_constraint(self) -> Constraint:
-        return Constraint.make(expr_to_linexpr(self.lhs), self.op, expr_to_linexpr(self.rhs))
+        """``lhs - rhs op 0``, lowered in one pass and normalized once."""
+        acc: dict[str, int | Fraction] = {}
+        const = _lower(self.lhs, 1, acc) + _lower(self.rhs, -1, acc)
+        return Constraint.make(LinExpr.of(acc, const), self.op)
 
     @property
     def columns(self) -> tuple[Col, ...]:

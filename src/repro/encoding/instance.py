@@ -27,6 +27,7 @@ indices, which is exactly what the tree-convolution layers consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,58 +49,59 @@ class Vocab:
     """Encoding vocabulary: tables, columns (grouped by table), ops, joins.
 
     A db-agnostic slot vocabulary (:func:`repro.encoding.agnostic.group_vocab`)
-    holds ``None`` in the slots its group leaves unused.
+    holds ``None`` in the slots its group leaves unused. Sizes and
+    segment offsets are computed on first access.
     """
 
     tables: tuple[str | None, ...]
     columns: tuple[str | None, ...]  # "table.col", sorted by (table, col)
 
-    @property
+    @cached_property
     def n_t(self) -> int:
         return len(self.tables)
 
-    @property
+    @cached_property
     def n_c(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def nv_size(self) -> int:
         return self.n_t + 3 * self.n_c + 2 * len(OPS) + len(JOIN_TYPES) + 2
 
     # segment offsets ------------------------------------------------
-    @property
+    @cached_property
     def off_table(self) -> int:
         return 0
 
-    @property
+    @cached_property
     def off_join_cl(self) -> int:
         return self.n_t
 
-    @property
+    @cached_property
     def off_join_op(self) -> int:
         return self.off_join_cl + self.n_c
 
-    @property
+    @cached_property
     def off_join_cr(self) -> int:
         return self.off_join_op + len(OPS)
 
-    @property
+    @cached_property
     def off_join_jt(self) -> int:
         return self.off_join_cr + self.n_c
 
-    @property
+    @cached_property
     def off_sel_c(self) -> int:
         return self.off_join_jt + len(JOIN_TYPES)
 
-    @property
+    @cached_property
     def off_sel_op(self) -> int:
         return self.off_sel_c + self.n_c
 
-    @property
+    @cached_property
     def off_const(self) -> int:
         return self.off_sel_op + len(OPS)
 
-    @property
+    @cached_property
     def off_null(self) -> int:
         return self.off_const + 1
 
@@ -129,7 +131,7 @@ def norm_const(v: float) -> float:
     invisible to the EMF. Linear scaling by the fuzzer's constant range
     keeps them separable while remaining workload-independent.
     """
-    return float(np.clip(float(v) / 64.0, -2.0, 2.0))
+    return min(2.0, max(-2.0, v / 64.0))
 
 
 @dataclass

@@ -8,6 +8,9 @@ no float-epsilon soundness holes in the equivalence verifier.
 
 Columns are identified by opaque strings (``"alias.column"`` in plan
 contexts). A :class:`LinExpr` is ``sum(coeffs[c] * c) + const``.
+Each constructor converts and normalizes a value once, and
+:meth:`repro.core.plan.Comparison.to_constraint` lowers a predicate in
+one pass.
 """
 from __future__ import annotations
 
@@ -16,10 +19,31 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 Rational = int | float | Fraction
+_ZERO = Fraction(0)  # immutable, so one instance serves every absent coefficient
+
+
+def exact(x: Rational) -> int | Fraction:
+    """``x`` as an exact number: a float becomes the nearest fraction with
+    denominator at most 10**9, and an integral value stays (or becomes)
+    an ``int``, so that arithmetic on it builds no Fraction."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return Fraction(x).limit_denominator(10**9)
 
 
 def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**9)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return _frac(exact(x))
+
+
+def _sorted_nonzero(merged: Mapping[str, Fraction], const: Fraction) -> "LinExpr":
+    """The LinExpr of already-exact coefficients: zeros dropped, sorted."""
+    return LinExpr(tuple(sorted((c, v) for c, v in merged.items() if v)), const)
 
 
 @dataclass(frozen=True)
@@ -31,15 +55,13 @@ class LinExpr:
     """
 
     coeffs: tuple[tuple[str, Fraction], ...] = field(default=())
-    const: Fraction = field(default=Fraction(0))
+    const: Fraction = field(default=_ZERO)
 
     # -- constructors -------------------------------------------------
     @staticmethod
     def of(coeffs: Mapping[str, Rational] | None = None, const: Rational = 0) -> "LinExpr":
-        items = tuple(
-            sorted((c, _frac(v)) for c, v in (coeffs or {}).items() if _frac(v) != 0)
-        )
-        return LinExpr(items, _frac(const))
+        values = {c: _frac(v) for c, v in (coeffs or {}).items()}
+        return _sorted_nonzero(values, _frac(const))
 
     @staticmethod
     def col(name: str) -> "LinExpr":
@@ -54,7 +76,7 @@ class LinExpr:
         for c, v in self.coeffs:
             if c == name:
                 return v
-        return Fraction(0)
+        return _ZERO
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -69,8 +91,8 @@ class LinExpr:
             other = LinExpr.lit(other)
         merged: dict[str, Fraction] = dict(self.coeffs)
         for c, v in other.coeffs:
-            merged[c] = merged.get(c, Fraction(0)) + v
-        return LinExpr.of(merged, self.const + other.const)
+            merged[c] = merged[c] + v if c in merged else v
+        return _sorted_nonzero(merged, self.const + other.const)
 
     def __neg__(self) -> "LinExpr":
         return LinExpr(tuple((c, -v) for c, v in self.coeffs), -self.const)
@@ -78,7 +100,10 @@ class LinExpr:
     def __sub__(self, other: "LinExpr | Rational") -> "LinExpr":
         if not isinstance(other, LinExpr):
             other = LinExpr.lit(other)
-        return self + (-other)
+        merged: dict[str, Fraction] = dict(self.coeffs)
+        for c, v in other.coeffs:
+            merged[c] = merged[c] - v if c in merged else -v
+        return _sorted_nonzero(merged, self.const - other.const)
 
     def __mul__(self, k: Rational) -> "LinExpr":
         k = _frac(k)
@@ -103,8 +128,8 @@ class LinExpr:
         merged: dict[str, Fraction] = {}
         for c, v in self.coeffs:
             nc = mapping.get(c, c)
-            merged[nc] = merged.get(nc, Fraction(0)) + v
-        return LinExpr.of(merged, self.const)
+            merged[nc] = merged[nc] + v if nc in merged else v
+        return _sorted_nonzero(merged, self.const)
 
     def __repr__(self) -> str:
         parts = [f"{v}*{c}" for c, v in self.coeffs]
@@ -136,15 +161,17 @@ class Constraint:
     def make(lhs: LinExpr, op: str, rhs: LinExpr | Rational = 0) -> "Constraint":
         if op not in OPS:
             raise ValueError(f"bad op {op!r}")
-        if not isinstance(rhs, LinExpr):
-            rhs = LinExpr.lit(rhs)
-        expr = lhs - rhs
+        # Every LinExpr is already sorted and zero-free, so ``lhs - 0``
+        # would only copy it.
+        expr = lhs - rhs if isinstance(rhs, LinExpr) or rhs != 0 else lhs
         if expr.coeffs:
             lead = expr.coeffs[0][1]
             if lead < 0:
-                expr, op = -expr, _FLIP[op]
-                lead = -lead
-            expr = expr * (1 / lead)
+                op = _FLIP[op]
+            if lead == -1:
+                expr = -expr
+            elif lead != 1:
+                expr = expr * (1 / lead)
         return Constraint(expr, op)
 
     def negate(self) -> "Constraint":

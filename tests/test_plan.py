@@ -1,5 +1,8 @@
 """Unit tests for the SPJ plan IR."""
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.plan import (
     BinOp,
@@ -21,7 +24,7 @@ from repro.core.plan import (
     rename_aliases,
     to_json,
 )
-from repro.solver.linexpr import LinExpr
+from repro.solver.linexpr import OPS, Constraint, LinExpr
 
 
 def fig1_q1():
@@ -84,6 +87,79 @@ def test_expr_to_linexpr_nested():
 def test_expr_to_linexpr_rejects_nonlinear():
     with pytest.raises(ValueError):
         expr_to_linexpr(BinOp("*", Col("A", "v"), Col("B", "w")))
+
+
+def test_expr_to_linexpr_cancelled_factor_is_constant():
+    # (v - v + 2) * w is linear: the left factor is the constant 2
+    x, w = Col("A", "v"), Col("B", "w")
+    e = BinOp("*", BinOp("+", BinOp("-", x, x), Const(2.0)), w)
+    assert expr_to_linexpr(e) == LinExpr.of({"B.w": 2})
+    assert expr_to_linexpr(BinOp("*", w, BinOp("-", x, x))) == LinExpr.lit(0)
+
+
+# Reference lowering, one LinExpr per AST node: the form the single-pass
+# lowering in ``repro.core.plan`` must match exactly.
+def _reference(e):
+    if isinstance(e, Col):
+        return LinExpr.col(e.key)
+    if isinstance(e, Const):
+        return LinExpr.lit(Fraction(e.value).limit_denominator(10**9))
+    l, r = _reference(e.left), _reference(e.right)
+    if e.op == "+":
+        return l + r
+    if e.op == "-":
+        return l - r
+    if l.is_const():
+        return r * l.const
+    if r.is_const():
+        return l * r.const
+    raise ValueError(f"non-linear product: {e}")
+
+
+_consts = st.one_of(
+    st.integers(-40, 40).map(Const),
+    st.integers(-40, 40).map(lambda n: Const(float(n))),
+    st.floats(-100, 100, allow_nan=False, allow_infinity=False).map(Const),
+)
+_leaves = st.one_of(
+    st.sampled_from([Col("A", "v"), Col("A", "x"), Col("B", "v"), Col("B", "w")]),
+    _consts,
+)
+
+
+def _linear(children):
+    return st.one_of(
+        st.builds(BinOp, st.sampled_from("+-"), children, children),
+        st.builds(lambda k, e: BinOp("*", k, e), _consts, children),
+        st.builds(lambda e, k: BinOp("*", e, k), children, _consts),
+    )
+
+
+_surface = st.recursive(_leaves, _linear, max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_surface, st.sampled_from(OPS), _surface)
+def test_lowering_matches_reference(lhs, op, rhs):
+    want = Constraint.make(_reference(lhs), op, _reference(rhs))
+    got = Comparison(lhs, op, rhs).to_constraint()
+    assert got == want
+    assert repr(got) == repr(want)
+    assert expr_to_linexpr(lhs) == _reference(lhs)
+    assert repr(expr_to_linexpr(lhs)) == repr(_reference(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_surface, _surface, st.sampled_from(OPS), _surface)
+def test_lowering_rejects_nonlinear_product(a, b, op, rhs):
+    # C.z and D.z occur nowhere else, so neither factor can cancel out
+    prod = BinOp("*", BinOp("+", Col("C", "z"), a), BinOp("-", b, Col("D", "z")))
+    with pytest.raises(ValueError):
+        Comparison(prod, op, rhs).to_constraint()
+    with pytest.raises(ValueError):
+        Comparison(rhs, op, BinOp("+", Const(1.0), prod)).to_constraint()
+    with pytest.raises(ValueError):
+        _reference(prod)
 
 
 def test_comparison_rejects_bad_op():
