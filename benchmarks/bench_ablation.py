@@ -3,24 +3,14 @@ GEqO_SET under every nonempty filter subset. Writes
 ``results/ablation.md``."""
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import ablation
+from repro.experiments import ablation, write_result
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_filter_ablation(benchmark, timed_model, results_dir):
+def test_filter_ablation(benchmark, timed_model):
     model, _ = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = ablation.run(
-            model, n_subexpr=160, n_equiv=32, seed=500
-        )
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(results_dir, "ablation", res.markdown())
+    res = benchmark.pedantic(ablation.run, args=(model,), rounds=1, iterations=1)
+    write_result("ablation", res.markdown())
 
     by_filters = {r.filters: r for r in res.rows}
     full = by_filters["SF+VMF+EMF"]

@@ -1,30 +1,18 @@
 """Result caching benchmark (§7.7 / Figure 15): workload runtime
-reduction from GEqO-driven result caching on Spark + TPC-H-lite at
-SF=0.05, across storage budgets. Writes ``results/caching.md``."""
+reduction from GEqO-driven result caching on Spark + TPC-H-lite,
+across storage budgets. Writes ``results/caching.md``."""
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import caching_study
+from repro.experiments import caching_study, write_result
 
 
 @pytest.mark.benchmark(group="caching")
-def test_caching_case_study(benchmark, spark, timed_model, results_dir, tmp_path):
+def test_caching_case_study(benchmark, spark, timed_model):
     model, _ = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = caching_study.run(
-            spark, model,
-            n_classes=6, class_size=3, n_singletons=6, sf=0.2,
-            budgets=(0.1, 0.5, 1.0),
-            cache_dir=str(tmp_path / "cache"),
-            seed=600,
-        )
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(results_dir, "caching", res.markdown())
+    res = benchmark.pedantic(
+        caching_study.run, args=(spark, model), rounds=1, iterations=1
+    )
+    write_result("caching", res.markdown())
 
     # shape: savings are monotone in budget and material at full budget
     s = [res.report.savings(b) for b in res.budgets]

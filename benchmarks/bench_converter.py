@@ -6,9 +6,9 @@ import time
 
 import pytest
 
-from benchmarks.conftest import write_result
 from repro.encoding.agnostic import convert_pair, encode_pair_agnostic
 from repro.encoding.instance import encode_tree, schema_vocab
+from repro.experiments import write_result
 from repro.workload.generator import random_plans
 from repro.workload.schema import TPCDS_LITE
 
@@ -21,7 +21,7 @@ def _pairs():
 
 
 @pytest.mark.benchmark(group="converter")
-def test_converter_vs_scratch(benchmark, results_dir):
+def test_converter_vs_scratch(benchmark):
     pairs = _pairs()
     vocab = schema_vocab(TPCDS_LITE)
     # instance encodings are computed once (the O(n) part)
@@ -50,7 +50,7 @@ def test_converter_vs_scratch(benchmark, results_dir):
     t0 = time.perf_counter(); converter(); t_conv = time.perf_counter() - t0
     factor = t_scratch / t_conv
     write_result(
-        results_dir, "converter",
+        "converter",
         f"{N_PAIRS} pairwise db-agnostic encodings:\n\n"
         f"| method | seconds | |\n|---|---|---|\n"
         f"| from scratch | {t_scratch:.2f} | |\n"

@@ -7,27 +7,14 @@ Oracle+AV) and the Figure 13 baseline comparison; writes
 """
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import table1
-
-N_SUBEXPR = 320  # → ~51k pairs (paper: ~50k)
-N_EQUIV = 50
+from repro.experiments import table1, write_result
 
 
 @pytest.mark.benchmark(group="table1")
-def test_table1_filters(benchmark, timed_model, results_dir):
+def test_table1_filters(benchmark, timed_model):
     model, _ = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = table1.run(
-            model, n_subexpr=N_SUBEXPR, n_equiv=N_EQUIV, seed=100
-        )
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(results_dir, "table1", res.markdown())
+    res = benchmark.pedantic(table1.run, args=(model,), rounds=1, iterations=1)
+    write_result("table1", res.markdown())
 
     # shape assertions (the paper's qualitative claims)
     by_name = {r.name.split(" (")[0]: r for r in res.rows}

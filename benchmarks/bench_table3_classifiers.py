@@ -2,33 +2,17 @@
 train TPC-H-lite → test TPC-DS-lite. Writes ``results/table3.md``."""
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import table3
-from repro.nn.pretrained import EPOCHS, TRAIN_PAIRS
-
-N_TEST = 800  # pairs per class in the TPC-DS-lite test set
+from repro.experiments import table3, write_result
 
 
 @pytest.mark.benchmark(group="table3")
-def test_table3_classifiers(benchmark, timed_model, results_dir):
+def test_table3_classifiers(benchmark, timed_model):
     model, train_secs = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = table3.run(
-            model, n_test=N_TEST, seed=200, mlp_train_seconds=train_secs
-        )
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(
-        results_dir,
-        "table3",
-        res.markdown()
-        + f"\n\n(MLP pretrained on {2 * TRAIN_PAIRS} TPC-H-lite pairs, "
-        f"{EPOCHS} epochs; 'train s' is cache-load time when warm)",
+    res = benchmark.pedantic(
+        table3.run, args=(model,), kwargs={"mlp_train_seconds": train_secs},
+        rounds=1, iterations=1,
     )
+    write_result("table3", res.markdown())
 
     by_name = {r.name.split(" ")[0]: r for r in res.rows}
     # the paper's claim: the MLP is decisively better on both metrics

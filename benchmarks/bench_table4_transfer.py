@@ -3,24 +3,14 @@ randomly-generated schemas at the paper's dataset sizes
 (1.2k–44.9k pairs). Writes ``results/table4.md``."""
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import table4
-
-SIZES = table4.PAPER_SIZES
+from repro.experiments import table4, write_result
 
 
 @pytest.mark.benchmark(group="table4")
-def test_table4_transfer(benchmark, timed_model, results_dir):
+def test_table4_transfer(benchmark, timed_model):
     model, _ = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = table4.run(model, sizes=SIZES, seed=300)
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(results_dir, "table4", res.markdown())
+    res = benchmark.pedantic(table4.run, args=(model,), rounds=1, iterations=1)
+    write_result("table4", res.markdown())
 
     # shape: high transfer quality at every size, mild degradation
     # tolerated (paper: F1 0.94–0.97 across 1.2k–44.9k)

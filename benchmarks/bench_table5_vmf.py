@@ -2,24 +2,14 @@
 labeled pairs (train TPC-H). Writes ``results/table5.md``."""
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.experiments import table5
-
-N_PAIRS = 600  # per class
+from repro.experiments import table5, write_result
 
 
 @pytest.mark.benchmark(group="table5")
-def test_table5_vmf(benchmark, timed_model, results_dir):
+def test_table5_vmf(benchmark, timed_model):
     model, _ = timed_model
-    holder = {}
-
-    def run_once():
-        holder["res"] = table5.run(model, n_pairs=N_PAIRS, seed=400)
-        return holder["res"]
-
-    benchmark.pedantic(run_once, rounds=1, iterations=1)
-    res = holder["res"]
-    write_result(results_dir, "table5", res.markdown())
+    res = benchmark.pedantic(table5.run, args=(model,), rounds=1, iterations=1)
+    write_result("table5", res.markdown())
 
     # the paper's VMF profile: recall ≈ 0.98 with only moderate
     # precision — a wide-net pre-filter, not a classifier

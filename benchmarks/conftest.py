@@ -1,15 +1,7 @@
-"""Shared benchmark fixtures: results directory + model training time."""
-import os
+"""Shared benchmark fixture: the model and its training time."""
 import time
 
 import pytest
-
-
-@pytest.fixture(scope="session")
-def results_dir():
-    d = os.path.join(os.path.dirname(__file__), "..", "results")
-    os.makedirs(d, exist_ok=True)
-    return d
 
 
 @pytest.fixture(scope="session")
@@ -22,10 +14,3 @@ def timed_model():
     t0 = time.perf_counter()
     model = default_model()
     return model, time.perf_counter() - t0
-
-
-def write_result(results_dir: str, name: str, text: str) -> None:
-    path = os.path.join(results_dir, f"{name}.md")
-    with open(path, "w") as f:
-        f.write(text + "\n")
-    print(f"\n=== {name} ===\n{text}\n(written to {path})")

@@ -17,6 +17,8 @@ completeness gap [50] that motivates GEqO.
 """
 from __future__ import annotations
 
+import itertools
+
 from repro.core.plan import Plan
 from repro.verifier.canonical import FlatSPJ, flatten
 
@@ -63,9 +65,8 @@ def optimizer_set(plans: list[Plan]) -> set[tuple[int, int]]:
         if form is None:
             continue
         buckets.setdefault(form, []).append(i)
-    out: set[tuple[int, int]] = set()
-    for idxs in buckets.values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                out.add((idxs[a], idxs[b]))
-    return out
+    return {
+        pair
+        for idxs in buckets.values()
+        for pair in itertools.combinations(idxs, 2)
+    }

@@ -14,9 +14,9 @@ attributes to signature approaches (§1, Figure 1).
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 from repro.core.plan import (
-    BinOp,
     Col,
     Comparison,
     Const,
@@ -24,8 +24,6 @@ from repro.core.plan import (
     Filter,
     Join,
     Plan,
-    Project,
-    Scan,
     alias_map,
     bfs,
     output_columns,
@@ -77,9 +75,8 @@ def signature_set(plans: list[Plan]) -> set[tuple[int, int]]:
     buckets: dict[str, list[int]] = {}
     for i, p in enumerate(plans):
         buckets.setdefault(signature(p), []).append(i)
-    out: set[tuple[int, int]] = set()
-    for idxs in buckets.values():
-        for a in range(len(idxs)):
-            for b in range(a + 1, len(idxs)):
-                out.add((idxs[a], idxs[b]))
-    return out
+    return {
+        pair
+        for idxs in buckets.values()
+        for pair in itertools.combinations(idxs, 2)
+    }

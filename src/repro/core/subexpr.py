@@ -8,6 +8,8 @@ the schema filter.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.core.plan import (
     Col,
     Filter,
@@ -15,6 +17,7 @@ from repro.core.plan import (
     Plan,
     Project,
     Scan,
+    alias_map,
     bfs,
     children,
     predicates,
@@ -32,6 +35,19 @@ def referenced_columns(plan: Plan) -> tuple[Col, ...]:
             for c in n.cols:
                 cols[c.key] = c
     return tuple(cols[k] for k in sorted(cols))
+
+
+def referenced_by_table(plans: Iterable[Plan]) -> dict[str, set[str]]:
+    """Base table → names of its columns that ``plans`` reference.
+    Every scanned table is a key, referenced columns or not."""
+    cols_by_table: dict[str, set[str]] = {}
+    for p in plans:
+        amap = alias_map(p)
+        for t in amap.values():
+            cols_by_table.setdefault(t, set())
+        for c in referenced_columns(p):
+            cols_by_table[amap[c.alias]].add(c.column)
+    return cols_by_table
 
 
 def as_executable(subtree: Plan) -> Plan:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.plan import JOIN_TYPES, Plan, alias_map
-from repro.core.subexpr import referenced_columns
+from repro.core.plan import JOIN_TYPES, Plan
+from repro.core.subexpr import referenced_by_table
 from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import TreeEnc, Vocab, encode_tree
 from repro.solver.linexpr import OPS
@@ -73,25 +73,13 @@ def group_vocab(cols_by_table: Mapping[str, Iterable[str]]) -> Vocab:
     return Vocab(tuple(tables) + (None,) * (n - len(tables)), tuple(columns))
 
 
-def _referenced(plans: list[Plan]) -> dict[str, set[str]]:
-    """Base table → referenced column names, over ``plans``."""
-    cols_by_table: dict[str, set[str]] = {}
-    for p in plans:
-        amap = alias_map(p)
-        for t in amap.values():
-            cols_by_table.setdefault(t, set())
-        for c in referenced_columns(p):
-            cols_by_table[amap[c.alias]].add(c.column)
-    return cols_by_table
-
-
 def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
     """Direct n-ary db-agnostic encoding of a group of subexpressions.
 
     With ``len(plans) == 2`` this is the pairwise encoding of §4.2; the
     n-ary variant (§4.2.2) is what the VMF applies per SF-group.
     """
-    vocab = group_vocab(_referenced(plans))
+    vocab = group_vocab(referenced_by_table(plans))
     return [encode_tree(p, vocab) for p in plans]
 
 
@@ -110,7 +98,7 @@ def instance_group(plans: list[Plan]) -> tuple[Vocab, list[TreeEnc]]:
     the group's referenced tables and columns (no space bound: this
     never raises)."""
     canon = [canonical_plan(p) for p in plans]
-    tables = sorted(cols := _referenced(canon))
+    tables = sorted(cols := referenced_by_table(canon))
     vocab = Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
     return vocab, [encode_tree(p, vocab) for p in canon]
 

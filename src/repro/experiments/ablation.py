@@ -7,10 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.pipeline import geqo_set_local
-from repro.filters.vmf import calibrate_tau
+from repro.experiments.table1 import planted_pool
 from repro.nn.model import EMF
-from repro.workload.labeler import make_planted_workload, make_positive_pairs
-from repro.workload.schema import TPCDS_LITE
 
 SUBSETS = [
     ("SF",), ("VMF",), ("EMF",),
@@ -54,17 +52,12 @@ def run(
     n_equiv: int = 32,
     seed: int = 500,
 ) -> AblationResult:
-    from repro.experiments.table1 import FAMILY_TIERS, TABLE_SETS
-
-    w = make_planted_workload(
-        TPCDS_LITE, n_subexpr=n_subexpr, n_equiv=n_equiv, seed=seed,
-        table_sets=TABLE_SETS, max_proj=2, family_tiers=FAMILY_TIERS,
+    plans, tau = planted_pool(
+        model, n_subexpr=n_subexpr, n_equiv=n_equiv, seed=seed
     )
-    cal = make_positive_pairs(TPCDS_LITE, 80, seed=seed + 1)
-    tau = calibrate_tau(model, [(p.p1, p.p2) for p in cal])
-    res = AblationResult(n_pairs=len(w.plans) * (len(w.plans) - 1) // 2)
+    res = AblationResult(n_pairs=len(plans) * (len(plans) - 1) // 2)
     for subset in SUBSETS:
-        r = geqo_set_local(w.plans, model, filters=subset, tau=tau)
+        r = geqo_set_local(plans, model, filters=subset, tau=tau)
         res.rows.append(
             AblationRow("+".join(subset), r.total_time,
                         r.av_pairs_checked, len(r.pairs))

@@ -8,7 +8,8 @@ storage budgets. Paper profile: ~61.5% runtime reduction at 10% budget,
 redundant; shape = savings grow with budget)."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass
 
 from pyspark.sql import SparkSession
 
@@ -58,7 +59,6 @@ def run(
     n_singletons: int = 6,
     sf: float = 0.2,
     budgets: tuple[float, ...] = (0.1, 0.5, 1.0),
-    cache_dir: str = "results/cache",
     seed: int = 600,
 ) -> CachingStudyResult:
     register_tpch_views(spark, sf=sf, seed=0)
@@ -76,9 +76,11 @@ def run(
     tau = calibrate_tau(model, [(p.p1, p.p2) for p in cal])
     pipeline = geqo_set_local(w.plans, model, tau=tau)
     classes = equivalence_classes(len(w.plans), pipeline.pairs)
-    report = run_caching_study(
-        spark, w.plans, classes, budgets=budgets, cache_dir=cache_dir
-    )
+    # the materialized results are scratch: none outlives the study
+    with tempfile.TemporaryDirectory() as cache_dir:
+        report = run_caching_study(
+            spark, w.plans, classes, budgets=budgets, cache_dir=cache_dir
+        )
     return CachingStudyResult(
         report=report,
         n_queries=len(w.plans),

@@ -13,11 +13,10 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.baselines.optimizer_rules import optimizer_set
 from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
+from repro.core.plan import Plan
 from repro.encoding.agnostic import instance_group
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_pairs
@@ -25,9 +24,8 @@ from repro.filters.vmf import calibrate_tau, candidate_pairs
 from repro.nn.model import EMF
 from repro.verifier.av import Verifier
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
-from repro.workload.schema import TPCDS_LITE
-
 from repro.workload.rewrites import IMPLICATION, NORMALIZATION, SYNTACTIC
+from repro.workload.schema import TPCDS_LITE
 
 # Few table pools → dense SF-groups, the §7.5 regime where the SF alone
 # rejects well under half the pairs.
@@ -102,13 +100,12 @@ def _rates(
     return tpr, tnr
 
 
-def run(
-    model: EMF,
-    *,
-    n_subexpr: int = 320,
-    n_equiv: int = 50,
-    seed: int = 100,
-) -> Table1Result:
+def planted_pool(
+    model: EMF, *, n_subexpr: int, n_equiv: int, seed: int
+) -> tuple[list[Plan], float]:
+    """The §7.5 workload (plans with planted equivalences on few table
+    sets) and the VMF radius τ calibrated for it. Table 1 and the
+    ablation share it; both build it outside their timed regions."""
     w = make_planted_workload(
         TPCDS_LITE,
         n_subexpr=n_subexpr,
@@ -118,7 +115,20 @@ def run(
         max_proj=2,
         family_tiers=FAMILY_TIERS,
     )
-    plans = w.plans
+    cal_pos = make_positive_pairs(TPCDS_LITE, 80, seed=seed + 1)
+    return w.plans, calibrate_tau(model, [(p.p1, p.p2) for p in cal_pos])
+
+
+def run(
+    model: EMF,
+    *,
+    n_subexpr: int = 320,  # → 51,040 pairs (paper: ~50k)
+    n_equiv: int = 50,
+    seed: int = 100,
+) -> Table1Result:
+    plans, tau = planted_pool(
+        model, n_subexpr=n_subexpr, n_equiv=n_equiv, seed=seed
+    )
     n = len(plans)
     all_pairs = list(itertools.combinations(range(n), 2))
     res = Table1Result(n_pairs=len(all_pairs))
@@ -140,8 +150,6 @@ def run(
     res.rows.append(FilterRow("Schema Filter (SF)", t_sf, tpr, tnr))
 
     # ---- VMF standalone ---------------------------------------------
-    cal_pos = make_positive_pairs(TPCDS_LITE, 80, seed=seed + 1)
-    tau = calibrate_tau(model, [(p.p1, p.p2) for p in cal_pos])
     t0 = time.perf_counter()
     vmf_pairs = candidate_pairs(model, plans, tau=tau)
     t_vmf = time.perf_counter() - t0

@@ -15,6 +15,7 @@ import numpy as np
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
 from repro.nn.model import EMF
+from repro.nn.pretrained import EPOCHS, TRAIN_PAIRS
 from repro.nn.train import PairTensors, encode_pairs, evaluate, metrics
 from repro.workload.labeler import make_dataset
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
@@ -50,6 +51,11 @@ class Table3Result:
                 f"{r.train_seconds:.1f} | "
                 f"{c.get('tp')}/{c.get('fp')}/{c.get('fn')}/{c.get('tn')} |"
             )
+        out += [
+            "",
+            f"(MLP pretrained on {2 * TRAIN_PAIRS} TPC-H-lite pairs, "
+            f"{EPOCHS} epochs; 'train s' is cache-load time when warm)",
+        ]
         return "\n".join(out)
 
 

@@ -15,28 +15,9 @@ import duckdb
 import numpy as np
 import pandas as pd
 
-from repro.core.plan import Col, Filter, Join, Plan, Project, bfs
+from repro.core.plan import Plan
 from repro.core.sqlgen import to_sql
-
-
-def referenced_schema(*plans: Plan) -> dict[str, list[str]]:
-    """base table → sorted union of referenced column names."""
-    schema: dict[str, set[str]] = {}
-    for plan in plans:
-        amap = {}
-        for n in bfs(plan):
-            if hasattr(n, "table"):
-                amap[n.alias] = n.table
-                schema.setdefault(n.table, set())
-        for n in bfs(plan):
-            cols: tuple[Col, ...] = ()
-            if isinstance(n, (Filter, Join)):
-                cols = n.pred.columns
-            elif isinstance(n, Project):
-                cols = n.cols
-            for c in cols:
-                schema[amap[c.alias]].add(c.column)
-    return {t: sorted(cs) for t, cs in schema.items()}
+from repro.core.subexpr import referenced_by_table
 
 
 def random_instance(
@@ -76,7 +57,7 @@ def counterexample(
     p1: Plan, p2: Plan, *, trials: int = 8, rows: int = 25, seed: int = 0
 ) -> int | None:
     """Seed of a distinguishing instance, or None if all trials agree."""
-    schema = referenced_schema(p1, p2)
+    schema = {t: sorted(cs) for t, cs in referenced_by_table((p1, p2)).items()}
     for k in range(trials):
         inst = random_instance(schema, rows=rows, seed=seed + k)
         if not results_equal_on(p1, p2, inst):

@@ -4,9 +4,23 @@ The full-scale numbers live in benchmarks/ (and results/*.md); these
 tests pin the qualitative shape cheaply so a regression in any filter,
 baseline, or harness shows up in the unit suite.
 """
+import importlib.util
+import os
+
 import pytest
 
-from repro.experiments import ablation, table1, table3, table4, table5
+from repro.experiments import ablation, table1, table3, table4, table5, write_result
+from repro.nn.pretrained import EPOCHS, TRAIN_PAIRS
+
+PAPER_TABLES = {"table1", "table3", "table4", "table5", "ablation", "caching"}
+
+
+def _job():
+    path = os.path.join(os.path.dirname(__file__), "..", "jobs", "run_table.py")
+    spec = importlib.util.spec_from_file_location("run_table", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
 
 
 @pytest.fixture(scope="module")
@@ -68,3 +82,33 @@ def test_ablation_full_cascade_fewest_verifications(emf_model):
     assert len(res.rows) == 7
     full = by["SF+VMF+EMF"]
     assert full.av_verifications == min(r.av_verifications for r in res.rows)
+
+
+def test_write_result_puts_markdown_in_results_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+    res = table5.Table5Result(0.74, 0.42, 0.98, 0.60, 4.2, 1200, 0.5)
+    path = write_result("table5", res.markdown())
+    assert os.path.samefile(path, tmp_path / "table5.md")
+    assert os.listdir(tmp_path) == ["table5.md"]
+    assert (tmp_path / "table5.md").read_text() == res.markdown() + "\n"
+
+
+def test_job_accepts_exactly_the_registered_tables():
+    job = _job()
+    assert set(job.TABLES) == PAPER_TABLES
+    for name in sorted(PAPER_TABLES):
+        assert job.parse_args([name]).table == name
+        assert callable(job.TABLES[name].run)
+    for bad in ([], ["table2"], ["converter"], ["table1_filters"], ["table1", "320"]):
+        with pytest.raises(SystemExit):
+            job.parse_args(bad)
+
+
+def test_table3_markdown_carries_training_footnote():
+    row = table3.ClassifierRow("MLP (tree-conv EMF)", 0.9, 0.9, 1.5,
+                               {"tp": 1, "fp": 0, "fn": 0, "tn": 1})
+    md = table3.Table3Result(rows=[row], n_train=2, n_test=2).markdown()
+    assert md.endswith(
+        f"\n\n(MLP pretrained on {2 * TRAIN_PAIRS} TPC-H-lite pairs, "
+        f"{EPOCHS} epochs; 'train s' is cache-load time when warm)"
+    )
