@@ -44,16 +44,16 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def _spark_session():
+    """The tests' and benchmarks' SQL settings, deployed locally."""
     from pyspark.sql import SparkSession
 
-    return (
+    from repro.spark_bridge.session import sql_session
+
+    return sql_session(
         SparkSession.builder.appName("geqo-caching")
         .master(os.environ.get("SPARK_MASTER", "local[*]"))
         .config("spark.driver.host", "127.0.0.1")
         .config("spark.ui.enabled", "false")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
     )
 
 

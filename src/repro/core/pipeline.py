@@ -2,10 +2,16 @@
 
 The SF keys every subexpression on the driver, and every later stage
 works inside one SF-group: :func:`cascade_group`, which encodes each
-plan once for both the VMF and the EMF. The two implementations of ``GEqO_SET`` (Equation 1) are thin maps over it:
+plan once for both the VMF and the EMF. The two implementations of
+``GEqO_SET`` (Equation 1) take the same SF-groups and differ only in
+how they map it:
 
-- :func:`geqo_set_spark` — one Spark stage without a shuffle: one row
-  per SF-group, `mapInPandas` with the model weights broadcast once.
+- :func:`geqo_set_spark` — one Spark stage without a shuffle: an RDD of
+  ``(ids, plans)`` per SF-group, ``mapPartitions`` with the model
+  weights broadcast once. PySpark pickles the plans and the
+  :class:`PipelineResult` objects itself; a DataFrame would add a
+  schema, an Arrow/pandas batch and a second serialization for rows
+  that are Python object graphs with no column-wise work.
 - :func:`geqo_set_local` — the same on the driver, used by the
   experiments, the SSFL inner loop and micro-benchmarks where Spark
   task overhead would drown the measured quantity.
@@ -17,13 +23,12 @@ pass-throughs, which the Table 1 / ablation experiments report.
 from __future__ import annotations
 
 import itertools
-import pickle
 import time
 from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
-from repro.core.plan import Plan, from_json, to_json
+from repro.core.plan import Plan
 from repro.encoding.agnostic import instance_group
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
@@ -126,6 +131,24 @@ def cascade_group(
     return res
 
 
+def _groups(
+    plans: list[Plan], filters: tuple[str, ...]
+) -> tuple[PipelineResult, list[tuple[list[int], list[Plan]]]]:
+    """The empty result, with the SF's seconds, and ``(workload ids,
+    plans)`` of every group that holds a pair: the SF-groups, or the
+    whole workload when neither the SF nor the VMF (which embeds within
+    SF-groups) is in ``filters``."""
+    res = _empty_result(len(plans), filters)
+    t0 = time.perf_counter()
+    if "SF" in filters or "VMF" in filters:
+        groups = list(sf_groups(plans).values())
+    else:
+        groups = [list(range(len(plans)))]
+    if "SF" in filters:
+        res.times["SF"] = time.perf_counter() - t0
+    return res, [(ids, [plans[i] for i in ids]) for ids in groups if len(ids) > 1]
+
+
 def geqo_set_local(
     plans: list[Plan],
     model: EMF | None,
@@ -134,29 +157,15 @@ def geqo_set_local(
     tau: float = DEFAULT_TAU,
     verifier: Verifier | None = None,
 ) -> PipelineResult:
-    """Driver-side GEqO_SET; ``filters`` selects the cascade (ablation).
-
-    The VMF embeds within SF-groups, so it groups the workload even
-    without the SF; with neither, the workload is one group."""
+    """Driver-side GEqO_SET; ``filters`` selects the cascade (ablation)."""
     if model is None and ("VMF" in filters or "EMF" in filters):
         raise ValueError("VMF and EMF require a trained model")
-    res = _empty_result(len(plans), filters)
+    res, groups = _groups(plans, filters)
     verifier = verifier or Verifier()
-
-    t0 = time.perf_counter()
-    if "SF" in filters or "VMF" in filters:
-        groups = list(sf_groups(plans).values())
-    else:
-        groups = [list(range(len(plans)))]
-    if "SF" in filters:
-        res.times["SF"] = time.perf_counter() - t0
-    for ids in groups:
-        if len(ids) > 1:
-            group = cascade_group(
-                [plans[i] for i in ids], model, filters=filters, tau=tau,
-                verifier=verifier,
-            )
-            res.merge(group, ids)
+    for ids, group in groups:
+        res.merge(cascade_group(
+            group, model, filters=filters, tau=tau, verifier=verifier,
+        ), ids)
     return res
 
 
@@ -168,42 +177,22 @@ def geqo_set_spark(
     tau: float = DEFAULT_TAU,
 ) -> PipelineResult:
     """Distributed GEqO_SET: :func:`cascade_group` on each SF-group."""
-    res = _empty_result(len(plans), CASCADE)
-    t0 = time.perf_counter()
-    rows = [
-        (ids, [to_json(plans[i]) for i in ids])
-        for ids in sf_groups(plans).values()
-        if len(ids) > 1
-    ]
-    res.times["SF"] = time.perf_counter() - t0
-    if not rows:
+    res, groups = _groups(plans, CASCADE)
+    if not groups:
         return res
+    sc = spark.sparkContext
+    weights = sc.broadcast(model.to_bytes())
 
-    weights = spark.sparkContext.broadcast(model.to_bytes())
-
-    def run_groups(batches):
-        import pandas as pd
-
+    def run_groups(partition):
         model = EMF.from_bytes(weights.value)
         verifier = Verifier()
-        for pdf in batches:
-            out = [
-                pickle.dumps((ids.tolist(), cascade_group(
-                    [from_json(s) for s in group], model, tau=tau, verifier=verifier,
-                )))
-                for ids, group in zip(pdf["ids"], pdf["plans"])
-            ]
-            yield pd.DataFrame({"result": out})
+        for ids, group in partition:
+            yield ids, cascade_group(group, model, tau=tau, verifier=verifier)
 
     try:
-        collected = (
-            spark.createDataFrame(rows, "ids array<long>, plans array<string>")
-            .mapInPandas(run_groups, schema="result binary")
-            .collect()
-        )
+        collected = sc.parallelize(groups).mapPartitions(run_groups).collect()
     finally:
         weights.unpersist()
-    for row in collected:
-        ids, group = pickle.loads(row.result)
+    for ids, group in collected:
         res.merge(group, ids)
     return res

@@ -97,7 +97,7 @@ class Verifier:
                     # Column-level rename: every "a2.col" → "a1.col" is
                     # handled by _rename_key / Constraint.rename on keys.
                     mapping[a2] = a1
-            yield {a2: a1 for a2, a1 in mapping.items()}
+            yield mapping
 
     def _match(
         self,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.plan import Filter, Join, Plan, Project, bfs, output_columns
+from repro.core.plan import Join, Plan, alias_map, bfs, output_columns, predicates
 from repro.solver.linexpr import Constraint
 
 
@@ -25,17 +25,11 @@ class FlatSPJ:
 
 def flatten(plan: Plan) -> FlatSPJ:
     """Flatten an inner-join SPJ plan with a root Project."""
-    aliases: dict[str, str] = {}
-    constraints: list[Constraint] = []
-    for n in bfs(plan):
-        if isinstance(n, Join):
-            if n.jointype != "inner":
-                raise ValueError("verifier handles inner joins only")
-            constraints.append(n.pred.to_constraint())
-        elif isinstance(n, Filter):
-            constraints.append(n.pred.to_constraint())
-        elif hasattr(n, "table"):
-            aliases[n.alias] = n.table
-    proj = tuple(c.key for c in output_columns(plan))
-    dedup = sorted(set(constraints), key=repr)
-    return FlatSPJ(tuple(sorted(aliases.items())), tuple(dedup), proj)
+    if any(isinstance(n, Join) and n.jointype != "inner" for n in bfs(plan)):
+        raise ValueError("verifier handles inner joins only")
+    constraints = {p.to_constraint() for p in predicates(plan)}
+    return FlatSPJ(
+        tuple(sorted(alias_map(plan).items())),
+        tuple(sorted(constraints, key=repr)),
+        tuple(c.key for c in output_columns(plan)),
+    )

@@ -39,6 +39,7 @@ from repro.core.plan import (
     Project,
     Scan,
     bfs,
+    predicates,
 )
 from repro.solver.fm import implies
 from repro.solver.linexpr import Constraint, LinExpr
@@ -122,14 +123,6 @@ def lin_to_expr(e: LinExpr) -> Expr:
     return out
 
 
-def all_constraints(plan: Plan) -> list[Constraint]:
-    out = []
-    for n in bfs(plan):
-        if isinstance(n, (Filter, Join)):
-            out.append(n.pred.to_constraint())
-    return out
-
-
 # --------------------------------------------------------------------------
 # Structural (syntactic-level) rewrites
 # --------------------------------------------------------------------------
@@ -155,7 +148,7 @@ def rw_join_commute(plan: Plan, g: np.random.Generator) -> Plan | None:
     target = joins[int(g.integers(0, len(joins)))]
 
     def swap(n):
-        if n is target or (isinstance(n, Join) and n == target):
+        if n == target:
             return Join(n.right, n.left, n.pred, n.jointype)
         return n
 
@@ -199,8 +192,6 @@ def _rewrite_one_pred(plan: Plan, g: np.random.Generator, fn) -> Plan | None:
             continue
 
         def sub(n):
-            if n is target:
-                pass
             if isinstance(n, Filter) and n.pred == target.pred:
                 return Filter(new, n.child)
             if isinstance(n, Join) and n.pred == target.pred:
@@ -281,7 +272,7 @@ def rw_add_implied(plan: Plan, g: np.random.Generator) -> Plan | None:
     same-direction inequalities (transitivity-style derivations — the
     Figure 1 pattern). Guarded by an FM implication check.
     """
-    cs = all_constraints(plan)
+    cs = [p.to_constraint() for p in predicates(plan)]
     ineqs = [c for c in cs if c.op in (">", ">=", "<", "<=")]
     if not ineqs:
         return None

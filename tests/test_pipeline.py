@@ -94,6 +94,25 @@ def test_spark_pipeline_matches_local(spark, emf_model, tau, workload, wide_plan
     assert dist.n_total_pairs == local.n_total_pairs
 
 
+def test_spark_pipeline_is_one_job_one_stage(spark, emf_model, tau, workload):
+    """One ``geqo_set_spark`` call on many SF-groups is one Spark job
+    of one stage: no shuffle, no second job to collect."""
+    assert sum(len(g) > 1 for g in sf_groups(workload.plans).values()) >= 8
+    sc = spark.sparkContext
+    sc.setJobGroup("geqo-one-stage", "one geqo_set_spark call")
+    try:
+        geqo_set_spark(spark, workload.plans, emf_model, tau=tau)
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description",
+                    "spark.job.interruptOnCancel"):
+            sc.setLocalProperty(key, None)
+    tracker = sc.statusTracker()
+    jobs = tracker.getJobIdsForGroup("geqo-one-stage")
+    assert len(jobs) == 1
+    assert len(tracker.getJobInfo(jobs[0]).stageIds) == 1
+    assert sc.getLocalProperty("spark.jobGroup.id") is None
+
+
 def test_cascade_emf_scores_match_from_scratch(emf_model, tau, workload, wide_plans, monkeypatch):
     """The EMF's converter scores inside :func:`cascade_group` equal the
     from-scratch pairwise reference exactly; out-of-space pairs score
