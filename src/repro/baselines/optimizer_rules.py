@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.baselines.signature import canonical_alias_names
 from repro.core.plan import Plan
 from repro.verifier.canonical import FlatSPJ, flatten
 
@@ -30,16 +31,13 @@ def _canonical_form(plan: Plan) -> tuple | None:
         f: FlatSPJ = flatten(plan)
     except ValueError:
         return None
-    # canonical alias naming, ordered by (table, first-use order of the
-    # sorted alias list) — a rename an optimizer performs trivially
-    ordered = sorted(f.aliases, key=lambda kv: (kv[1], kv[0]))
-    names = {alias: f"q{i}" for i, (alias, _) in enumerate(ordered)}
+    names = canonical_alias_names(f.aliases)
 
     def re_key(key: str) -> str:
         alias, col = key.split(".", 1)
         return f"{names[alias]}.{col}"
 
-    tables = tuple(t for _, t in ordered)
+    tables = tuple(sorted(t for _, t in f.aliases))
     constraints = tuple(
         sorted(
             repr(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from collections.abc import Iterable
 
 from repro.core.plan import (
     Col,
@@ -30,10 +31,11 @@ from repro.core.plan import (
 )
 
 
-def _canonical_alias_map(plan: Plan) -> dict[str, str]:
-    """alias → positional name, ordered by (base table, alias)."""
-    amap = alias_map(plan)
-    ordered = sorted(amap.items(), key=lambda kv: (kv[1], kv[0]))
+def canonical_alias_names(aliases: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """(alias, base table) pairs → alias → positional name ``q{i}``,
+    numbered in (base table, alias) order — a rename an optimizer
+    performs trivially."""
+    ordered = sorted(aliases, key=lambda kv: (kv[1], kv[0]))
     return {alias: f"q{i}" for i, (alias, _) in enumerate(ordered)}
 
 
@@ -51,8 +53,8 @@ def _pred_str(p: Comparison, names: dict[str, str]) -> str:
 
 def signature(plan: Plan) -> str:
     """Surface-form signature of an SPJ subexpression."""
-    names = _canonical_alias_map(plan)
     amap = alias_map(plan)
+    names = canonical_alias_names(amap.items())
     scans = sorted(f"{t}:{names[a]}" for a, t in amap.items())
     preds = sorted(
         _pred_str(n.pred, names)

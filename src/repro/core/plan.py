@@ -315,14 +315,6 @@ def _expr_to_obj(e: Expr) -> object:
     return {"t": "bin", "op": e.op, "l": _expr_to_obj(e.left), "r": _expr_to_obj(e.right)}
 
 
-def _expr_from_obj(o: dict) -> Expr:
-    if o["t"] == "col":
-        return Col(o["a"], o["c"])
-    if o["t"] == "const":
-        return Const(o["v"])
-    return BinOp(o["op"], _expr_from_obj(o["l"]), _expr_from_obj(o["r"]))
-
-
 def _plan_to_obj(p: Plan) -> object:
     if isinstance(p, Scan):
         return {"t": "scan", "table": p.table, "alias": p.alias}

@@ -61,15 +61,15 @@ def as_executable(subtree: Plan) -> Plan:
     return Project(cols, subtree)
 
 
-def enumerate_subexpressions(plan: Plan, *, min_nodes: int = 2) -> list[Plan]:
-    """All subtrees of ``plan`` with at least ``min_nodes`` nodes,
-    each wrapped to be executable. The root plan is included (§2.1:
-    ``Q ∈ S(Q)``)."""
+def enumerate_subexpressions(plan: Plan) -> list[Plan]:
+    """All subtrees of ``plan`` with at least two nodes (a bare Scan is
+    not a subexpression), each wrapped to be executable. The root plan
+    is included (§2.1: ``Q ∈ S(Q)``)."""
     out: list[Plan] = []
     seen: set[str] = set()
     for node in bfs(plan):
         size = sum(1 for _ in bfs(node))
-        if size < min_nodes:
+        if size < 2:
             continue
         sub = as_executable(node)
         key = repr(sub) + repr(predicates(sub)) + repr(tuple(children(sub)))

@@ -55,22 +55,14 @@ def run(
     model: EMF,
     *,
     n_classes: int = 6,
-    class_size: int = 3,
     n_singletons: int = 6,
     sf: float = 0.2,
     budgets: tuple[float, ...] = (0.1, 0.5, 1.0),
     seed: int = 600,
 ) -> CachingStudyResult:
-    register_tpch_views(spark, sf=sf, seed=0)
-    # Require ≥2-table joins: §7.7's expressions are "computationally
-    # expensive but return small results" — single-table scans at this
-    # scale are dominated by fixed Spark overhead and cache-read cost,
-    # which would hide the compute savings caching provides. Classes
-    # have multiple members (the paper's workload averages ~4.4
-    # occurrences per equivalence class).
+    register_tpch_views(spark, sf=sf)
     w = make_reuse_workload(
-        TPCH_LITE, n_classes=n_classes, class_size=class_size,
-        n_singletons=n_singletons, seed=seed, min_tables=2,
+        TPCH_LITE, n_classes=n_classes, n_singletons=n_singletons, seed=seed
     )
     cal = make_positive_pairs(TPCH_LITE, 60, seed=seed + 1)
     tau = calibrate_tau(model, [(p.p1, p.p2) for p in cal])

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_LEAF = 3  # fewest training rows a leaf may hold
+
 
 @dataclass
 class _Node:
@@ -40,10 +42,8 @@ def _gini_split(x: np.ndarray, y: np.ndarray):
 
 
 class _Tree:
-    def __init__(self, max_depth: int, min_leaf: int, n_feat: int,
-                 rng: np.random.Generator):
+    def __init__(self, max_depth: int, n_feat: int, rng: np.random.Generator):
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.n_feat = n_feat
         self.rng = rng
         self.root: _Node | None = None
@@ -56,7 +56,7 @@ class _Tree:
         node = _Node(proba=float(y.mean()) if len(y) else 0.5)
         if (
             depth >= self.max_depth
-            or len(y) < 2 * self.min_leaf
+            or len(y) < 2 * MIN_LEAF
             or y.min() == y.max()
         ):
             return node
@@ -73,7 +73,7 @@ class _Tree:
             return node
         f, thr, _ = best
         mask = X[:, f] <= thr
-        if mask.sum() < self.min_leaf or (~mask).sum() < self.min_leaf:
+        if mask.sum() < MIN_LEAF or (~mask).sum() < MIN_LEAF:
             return node
         node.feature, node.threshold = f, thr
         node.left = self._build(X[mask], y[mask], depth + 1)
@@ -91,11 +91,9 @@ class _Tree:
 
 
 class RandomForest:
-    def __init__(self, *, n_trees: int = 20, max_depth: int = 10,
-                 min_leaf: int = 3, seed: int = 0):
+    def __init__(self, *, n_trees: int = 20, max_depth: int = 10, seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.min_leaf = min_leaf
         self.seed = seed
         self.trees: list[_Tree] = []
 
@@ -108,7 +106,7 @@ class RandomForest:
         self.trees = []
         for _ in range(self.n_trees):
             idx = rng.integers(0, n, n)  # bootstrap
-            t = _Tree(self.max_depth, self.min_leaf, n_feat,
+            t = _Tree(self.max_depth, n_feat,
                       np.random.default_rng(rng.integers(0, 2**31)))
             self.trees.append(t.fit(X[idx], y[idx]))
         return self

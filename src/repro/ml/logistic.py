@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
+LR = 0.1
+L2 = 1e-4
+
 
 class LogisticRegression:
-    def __init__(self, *, lr: float = 0.1, epochs: int = 300, l2: float = 1e-4,
-                 seed: int = 0):
-        self.lr = lr
+    def __init__(self, *, epochs: int = 300, seed: int = 0):
         self.epochs = epochs
-        self.l2 = l2
         self.seed = seed
         self.w: np.ndarray | None = None
         self.b: float = 0.0
@@ -35,8 +35,8 @@ class LogisticRegression:
             z = Xs @ self.w + self.b
             p = 1.0 / (1.0 + np.exp(-z))
             g = (p - y) / n
-            self.w -= self.lr * (Xs.T @ g + self.l2 * self.w)
-            self.b -= self.lr * g.sum()
+            self.w -= LR * (Xs.T @ g + L2 * self.w)
+            self.b -= LR * g.sum()
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -31,6 +31,16 @@ class Layer:
         self.g[name] += grad
 
 
+# Child weights start small: equivalence is mostly a property of the
+# node-content multiset (reorders must stay near-invariant), so the
+# structural pathways should begin as a gentle correction rather than
+# dominate the embedding.
+CHILD_SCALE = 0.2
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+PRELU_INIT = 0.25
+
+
 def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
     fan_in = shape[0]
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float64)
@@ -48,21 +58,11 @@ class TreeConv(Layer):
     the paper's EMF uses (§3.2, §5).
     """
 
-    def __init__(
-        self,
-        d_in: int,
-        d_out: int,
-        rng: np.random.Generator,
-        child_scale: float = 0.2,
-    ):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         super().__init__()
         self.p["Ws"] = _init(rng, d_in, d_out)
-        # Child weights start small: equivalence is mostly a property of
-        # the node-content multiset (reorders must stay near-invariant),
-        # so the structural pathways should begin as a gentle correction
-        # rather than dominate the embedding.
-        self.p["Wl"] = _init(rng, d_in, d_out) * child_scale
-        self.p["Wr"] = _init(rng, d_in, d_out) * child_scale
+        self.p["Wl"] = _init(rng, d_in, d_out) * CHILD_SCALE
+        self.p["Wr"] = _init(rng, d_in, d_out) * CHILD_SCALE
         self.p["b"] = np.zeros(d_out)
 
     @staticmethod
@@ -104,14 +104,12 @@ class TreeConv(Layer):
 class BatchNorm(Layer):
     """Per-channel batch normalization with node-mask support."""
 
-    def __init__(self, d: int, momentum: float = 0.9, eps: float = 1e-5):
+    def __init__(self, d: int):
         super().__init__()
         self.p["gamma"] = np.ones(d)
         self.p["beta"] = np.zeros(d)
         self.run_mean = np.zeros(d)
         self.run_var = np.ones(d)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, X, mask=None, train=True):
         orig_shape = X.shape
@@ -125,11 +123,11 @@ class BatchNorm(Layer):
         if train:
             mean = (F * w[:, None]).sum(axis=0) / n
             var = (((F - mean) ** 2) * w[:, None]).sum(axis=0) / n
-            self.run_mean = self.momentum * self.run_mean + (1 - self.momentum) * mean
-            self.run_var = self.momentum * self.run_var + (1 - self.momentum) * var
+            self.run_mean = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
+            self.run_var = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.run_mean, self.run_var
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         Xh = (F - mean) * inv
         out = (Xh * self.p["gamma"] + self.p["beta"]).reshape(orig_shape)
         if mask is not None:
@@ -159,9 +157,9 @@ class BatchNorm(Layer):
 class PReLU(Layer):
     """Parametric ReLU with a per-channel slope (the paper's activation)."""
 
-    def __init__(self, d: int, init: float = 0.25):
+    def __init__(self, d: int):
         super().__init__()
-        self.p["a"] = np.full(d, init)
+        self.p["a"] = np.full(d, PRELU_INIT)
 
     def forward(self, X):
         pos = X > 0

@@ -13,7 +13,7 @@ The conv stack doubles as the VMF's embedding function (§2.2):
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,10 @@ from repro.nn.layers import (
 @dataclass(frozen=True)
 class EMFConfig:
     d_in: int
-    conv: tuple[int, int] = (256, 128)
-    fc: tuple[int, int] = (128, 64)
-    dropout: float = 0.5
-    seed: int = 0
+    conv: tuple[int, int]
+    fc: tuple[int, int]
+    dropout: float
+    seed: int
 
     @property
     def h(self) -> int:
@@ -164,11 +164,9 @@ class EMF:
                 blob[f"l{i}_{name}"] = param
         return blob
 
-    def save(self, path: str) -> None:
-        np.savez(path, **self._blob())
-
     def to_bytes(self) -> bytes:
-        """Serialized weights — broadcast to Spark workers."""
+        """Serialized weights as ``.npz`` bytes: the model cache file
+        (:meth:`load` reads it) and the Spark broadcast."""
         import io
 
         buf = io.BytesIO()

@@ -6,19 +6,14 @@ import numpy as np
 from repro.nn.layers import Layer
 
 
+LR = 1e-3
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
+
 class Adam:
-    def __init__(
-        self,
-        layers: list[Layer],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 5e-4,
-    ):
+    def __init__(self, layers: list[Layer], weight_decay: float = 5e-4):
         self.layers = layers
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.wd = weight_decay
         self.t = 0
         self.m: dict[tuple[int, str], np.ndarray] = {}
@@ -40,8 +35,8 @@ class Adam:
                 key = (li, name)
                 m = self.m.setdefault(key, np.zeros_like(param))
                 v = self.v.setdefault(key, np.zeros_like(param))
-                m[:] = self.b1 * m + (1 - self.b1) * grad
-                v[:] = self.b2 * v + (1 - self.b2) * grad**2
-                mh = m / (1 - self.b1**self.t)
-                vh = v / (1 - self.b2**self.t)
-                param -= self.lr * mh / (np.sqrt(vh) + self.eps)
+                m[:] = BETA1 * m + (1 - BETA1) * grad
+                v[:] = BETA2 * v + (1 - BETA2) * grad**2
+                mh = m / (1 - BETA1**self.t)
+                vh = v / (1 - BETA2**self.t)
+                param -= LR * mh / (np.sqrt(vh) + EPS)

@@ -23,6 +23,8 @@ from repro.workload.labeler import LabeledPair
 
 log = logging.getLogger(__name__)
 
+PREDICT_BATCH = 256
+
 
 # --------------------------------------------------------------------------
 # Batching
@@ -141,7 +143,6 @@ def train_emf(
     *,
     epochs: int = 20,
     batch_size: int = 64,
-    lr: float = 1e-3,
     weight_decay: float = 5e-4,
     seed: int = 0,
     optimizer: Adam | None = None,
@@ -151,7 +152,7 @@ def train_emf(
     Pass an existing ``optimizer`` to fine-tune incrementally (the SSFL
     path, §6) while keeping Adam moments.
     """
-    opt = optimizer or Adam(model.layers, lr=lr, weight_decay=weight_decay)
+    opt = optimizer or Adam(model.layers, weight_decay=weight_decay)
     g = np.random.default_rng(seed)
     losses = []
     for epoch in range(epochs):
@@ -172,18 +173,18 @@ def train_emf(
     return losses
 
 
-def predict(model: EMF, data: PairTensors, *, batch_size: int = 256) -> np.ndarray:
+def predict(model: EMF, data: PairTensors) -> np.ndarray:
     out = []
-    for s in range(0, len(data), batch_size):
-        idx = np.arange(s, min(s + batch_size, len(data)))
+    for s in range(0, len(data), PREDICT_BATCH):
+        idx = np.arange(s, min(s + PREDICT_BATCH, len(data)))
         b = data.subset(idx)
         out.append(model.predict_proba(b.a, b.b))
     return np.concatenate(out) if out else np.array([])
 
 
-def evaluate(model: EMF, data: PairTensors, *, threshold: float = 0.5) -> dict:
+def evaluate(model: EMF, data: PairTensors) -> dict:
     p = predict(model, data)
-    return metrics(data.y, p >= threshold)
+    return metrics(data.y, p >= 0.5)
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from repro.core.plan import Plan
 from repro.core.sqlgen import to_sql
 from repro.workload.schema import TPCH_LITE
 
+ORACLE_CLASSES = 2
+
 
 def equivalence_classes(n: int, pairs: set[tuple[int, int]]) -> list[list[int]]:
     """Union-find over confirmed equivalent pairs → classes (sorted)."""
@@ -43,9 +45,9 @@ def equivalence_classes(n: int, pairs: set[tuple[int, int]]) -> list[list[int]]:
     return [sorted(v) for v in sorted(groups.values())]
 
 
-def register_tpch_views(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> None:
-    """Register TPC-H-lite synthetic tables as temp views, projected to
-    the columns the workload schema knows about."""
+def register_tpch_views(spark: SparkSession, *, sf: float = 0.01) -> None:
+    """Register TPC-H-lite synthetic tables (generator seed 0) as temp
+    views, projected to the columns the workload schema knows about."""
     from repro import synth_data
 
     gens = {
@@ -55,7 +57,7 @@ def register_tpch_views(spark: SparkSession, *, sf: float = 0.01, seed: int = 0)
         "part": synth_data.part,
     }
     for t in TPCH_LITE.tables:
-        df = gens[t.name](spark, sf=sf, seed=seed)
+        df = gens[t.name](spark, sf=sf, seed=0)
         df.select(*t.columns).createOrReplaceTempView(t.name)
 
 
@@ -88,11 +90,12 @@ def run_caching_study(
     *,
     budgets: tuple[float, ...] = (0.1, 0.5, 1.0),
     cache_dir: str,
-    oracle_check: int = 2,
 ) -> CachingReport:
     """Measure workload runtime without and with equivalence-driven
     result caching under each storage ``budget`` (fraction of the
-    storage an unlimited cache would use)."""
+    storage an unlimited cache would use). The first
+    ``ORACLE_CLASSES`` classes are oracle-checked: a cache-served
+    result must equal fresh execution row for row."""
     os.makedirs(cache_dir, exist_ok=True)
 
     # --- baseline: every query executes ------------------------------
@@ -120,7 +123,7 @@ def run_caching_study(
         read_time[ci], _ = _run(spark.read.parquet(path))
         # oracle: cache-served rows equal fresh execution for the later
         # members of the first few classes
-        if ci < oracle_check:
+        if ci < ORACLE_CLASSES:
             for m in members[1:2]:
                 fresh = spark.sql(to_sql(plans[m]))
                 cached = spark.read.parquet(path)

@@ -26,6 +26,7 @@ from repro.verifier.av import Verifier
 from repro.workload.labeler import LabeledPair
 
 DEFAULT_TH = 0.9
+MONITOR_PAIRS = 400  # workload pairs whose confidence is monitored
 
 
 def confidence_level(probas: np.ndarray, threshold: float = DEFAULT_TH) -> float:
@@ -119,7 +120,6 @@ def ssfl(
     max_iterations: int = 5,
     fine_tune_epochs: int = 8,
     sampler: str = "filter",
-    monitor_pairs: int = 400,
     seed: int = 0,
     verifier: Verifier | None = None,
 ) -> SSFLResult:
@@ -130,7 +130,7 @@ def ssfl(
     result = SSFLResult(0)
     all_pairs = _workload_pairs(workload)
     monitor_idx = rng.choice(
-        len(all_pairs), size=min(monitor_pairs, len(all_pairs)), replace=False
+        len(all_pairs), size=min(MONITOR_PAIRS, len(all_pairs)), replace=False
     )
     monitor = [
         LabeledPair(workload[all_pairs[k][0]], workload[all_pairs[k][1]], False)

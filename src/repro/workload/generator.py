@@ -18,6 +18,8 @@ from repro.core.plan import BinOp, Col, Comparison, Const, Filter, Join, Plan, P
 from repro.workload.schema import Schema
 
 _SEL_OPS = ["<", "<=", ">", ">=", "="]
+MAX_TABLES = 3
+MAX_SELECTIONS = 4
 
 
 def _pick(g: np.random.Generator, xs):
@@ -28,9 +30,7 @@ def random_base_plan(
     schema: Schema,
     g: np.random.Generator,
     *,
-    max_tables: int = 3,
     min_tables: int = 1,
-    max_selections: int = 4,
     tables: tuple[str, ...] | None = None,
     max_proj: int = 4,
 ) -> Plan:
@@ -47,7 +47,7 @@ def random_base_plan(
     start = _pick(g, [t for t in pool])
     chosen = [start]
     join_preds: list[Comparison] = []
-    target = min(int(g.integers(min_tables, max_tables + 1)), len(pool))
+    target = min(int(g.integers(min_tables, MAX_TABLES + 1)), len(pool))
     while len(chosen) < target:
         frontier = [
             (t, nb, c_t, c_nb)
@@ -84,7 +84,7 @@ def random_base_plan(
             raise AssertionError("disconnected join predicate")
 
     # --- selection predicates ---------------------------------------
-    n_sel = int(g.integers(1, max_selections + 1))
+    n_sel = int(g.integers(1, MAX_SELECTIONS + 1))
     for _ in range(n_sel):
         t = _pick(g, chosen)
         col = Col(t, _pick(g, schema.table(t).columns))

@@ -113,8 +113,7 @@ def test_planted_workload_shape():
 def test_reuse_workload_classes():
     from repro.workload.labeler import make_reuse_workload
 
-    w = make_reuse_workload(TPCH_LITE, n_classes=3, class_size=3,
-                            n_singletons=4, seed=9, min_tables=2)
+    w = make_reuse_workload(TPCH_LITE, n_classes=3, n_singletons=4, seed=9)
     assert len(w.plans) >= 3 * 2 + 4  # classes may fall short of size
     v = Verifier()
     for i, j in w.planted:

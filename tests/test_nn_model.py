@@ -88,9 +88,9 @@ def test_save_load_roundtrip(tmp_path):
     a, b, y = _pair_batch()
     model = EMF(_CFG)
     p1 = model.predict_proba(a, b)
-    path = str(tmp_path / "emf.npz")
-    model.save(path)
-    loaded = EMF.load(path)
+    path = tmp_path / "emf.npz"
+    path.write_bytes(model.to_bytes())
+    loaded = EMF.load(str(path))
     assert loaded.config == _CFG
     assert np.allclose(loaded.predict_proba(a, b), p1)
 
@@ -118,7 +118,7 @@ def test_cached_model_rebuilds_corrupt_or_mismatched_cache(tmp_path):
 
     # a readable file holding another config is rebuilt as well
     other = EMFConfig(d_in=7, conv=(4, 4), fc=(4, 2), dropout=0.0, seed=3)
-    EMF(other).save(str(path))
+    path.write_bytes(EMF(other).to_bytes())
     assert cached_model(str(tmp_path), key, _CFG, build).config == _CFG
     assert len(builds) == 3
     assert not list(tmp_path.glob("*.tmp"))

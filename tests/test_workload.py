@@ -4,6 +4,8 @@ The load-bearing property: every rewrite family produces a variant the
 AV proves equivalent AND the DuckDB model checker cannot distinguish.
 This is the soundness chain the whole evaluation rests on.
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,54 @@ def test_family_partition_complete():
     assert set(SYNTACTIC) | set(NORMALIZATION) | set(IMPLICATION) == set(REWRITES)
     assert not (set(SYNTACTIC) & set(NORMALIZATION))
     assert not (set(NORMALIZATION) & set(IMPLICATION))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_generated_inputs_are_pinned():
+    """The generated inputs of the Table 1 pool, the ablation pool, the
+    caching workload and the EMF training set are pinned: sha256 over
+    the plans' ``to_json`` lines, plus the sorted planted pairs or the
+    labels.
+
+    A digest may change only together with a ``default_model`` cache-key
+    bump (the cached EMF is trained on the training set) and a new
+    benchmark baseline (the benchmark times the Table 1 pool), as the
+    ``rw_remove_redundant`` fix of ROADMAP item 3 will need."""
+    from repro.experiments.table1 import FAMILY_TIERS, TABLE_SETS
+    from repro.workload.labeler import (
+        make_dataset,
+        make_planted_workload,
+        make_reuse_workload,
+    )
+
+    def planted(n, n_equiv, seed):
+        return make_planted_workload(
+            TPCDS_LITE, n_subexpr=n, n_equiv=n_equiv, seed=seed,
+            table_sets=TABLE_SETS, max_proj=2, family_tiers=FAMILY_TIERS,
+        )
+
+    workloads = {
+        "table1": planted(320, 50, 100),
+        "ablation": planted(160, 32, 500),
+        "caching": make_reuse_workload(
+            TPCH_LITE, n_classes=6, n_singletons=6, seed=600
+        ),
+    }
+    got = {
+        name: (_digest(map(to_json, w.plans)),
+               _digest([repr(sorted(w.planted))]))
+        for name, w in workloads.items()
+    }
+    ds = make_dataset(TPCH_LITE, 2000, 2000, seed=10)
+    got["emf-train"] = _digest(
+        to_json(p.p1) + to_json(p.p2) + str(p.label) for p in ds
+    )
+    assert got == {
+        "table1": ("8410a11fdccaab79", "130de57108b129d5"),
+        "ablation": ("a44a98c93dc04070", "5ce32ed16149efbc"),
+        "caching": ("50f88db27623d77c", "0ddd3c88d9480317"),
+        "emf-train": "b49b8b8a9a992a20",
+    }
