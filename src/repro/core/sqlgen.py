@@ -10,7 +10,6 @@ source column names — this matches the paper's semantics
 from __future__ import annotations
 
 from repro.core.plan import (
-    BinOp,
     Col,
     Comparison,
     Const,

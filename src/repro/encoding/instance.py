@@ -22,12 +22,16 @@ Deviations, documented per DESIGN.md:
   the workload generator emits distinct-table joins only.
 
 The tree is rendered as a BFS node matrix (§3.2) plus per-node child
-indices, which is exactly what the tree-convolution layers consume.
+indices (:class:`TreeEnc`). Trees go to the tree-convolution layers
+either padded to one node count (training) or :class:`Packed` row-wise
+with no padding (every eval path).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +145,42 @@ class TreeEnc:
     X: np.ndarray  # (m, nv_size) float32
     left: np.ndarray  # (m,) int32 — BFS index of left/only child
     right: np.ndarray  # (m,) int32
+
+
+class Packed(NamedTuple):
+    """Trees packed row-wise with no padding: tree ``k`` holds the rows
+    from ``starts[k]`` up to the next tree's start (or the end), and
+    ``left``/``right`` are global row indices (−1 = absent). Every tree
+    has at least one row."""
+
+    starts: np.ndarray  # (B,) first row of each tree
+    X: np.ndarray  # (N, d) float64
+    left: np.ndarray  # (N,)
+    right: np.ndarray  # (N,)
+
+
+def offsets(sizes: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: where each of ``sizes`` starts."""
+    out = np.zeros(len(sizes), dtype=np.intp)
+    np.cumsum(sizes[:-1], out=out[1:])
+    return out
+
+
+def pack_encs(encs: Sequence[TreeEnc]) -> Packed:
+    """Pack tree encodings row-wise in order, child indices made global."""
+    sizes = np.array([e.X.shape[0] for e in encs], dtype=np.intp)
+    starts = offsets(sizes)
+    shift = np.repeat(starts, sizes)
+
+    def rows(idx: np.ndarray) -> np.ndarray:
+        return np.where(idx >= 0, idx + shift, -1)
+
+    return Packed(
+        starts,
+        np.concatenate([e.X for e in encs]).astype(np.float64),
+        rows(np.concatenate([e.left for e in encs])),
+        rows(np.concatenate([e.right for e in encs])),
+    )
 
 
 def _base_key(col_key: str, amap: dict[str, str]) -> str:

@@ -8,12 +8,14 @@ flat index): SF-groups are small, so comparing blocks of rows against
 the whole group is cheaper than building an ANN graph and cannot miss
 a pair.
 
-A group enters as its :func:`~repro.encoding.agnostic.instance_group`,
-which the §4.2.1 converter turns into its db-agnostic encoding. Both
-executors of :mod:`repro.core.pipeline` call :func:`group_pairs` once
-per SF-group; :func:`candidate_pairs` runs it over a whole workload.
-:func:`pair_distances` is the pairwise ``≈_VMF`` distance that
-:func:`calibrate_tau` and Table 5 use.
+A group enters as its packed :func:`~repro.encoding.agnostic.instance_group`;
+the §4.2.1 converter maps its columns to agnostic slots with one map
+for the whole group, and the model embeds the packed rows without
+padding. Both executors of :mod:`repro.core.pipeline` call
+:func:`group_pairs` once per SF-group; :func:`candidate_pairs` runs it
+over a whole workload. :func:`pair_distances` is the pairwise
+``≈_VMF`` distance that :func:`calibrate_tau` and Table 5 use, built
+from the same packed pair batches as the EMF's scores.
 """
 from __future__ import annotations
 
@@ -22,22 +24,25 @@ import itertools
 import numpy as np
 
 from repro.core.plan import Plan
-from repro.encoding.agnostic import convert_group, instance_group
-from repro.encoding.instance import TreeEnc, Vocab
+from repro.encoding.agnostic import (
+    InstanceGroup,
+    group_agnostic,
+    instance_group,
+    pair_batches,
+)
 from repro.filters.schema_filter import sf_groups
 from repro.nn.model import EMF
-from repro.nn.train import pad_encs
 
 DEFAULT_TAU = 1.0  # paper: FAISS radius d = 1 (§7 Implementation)
 TARGET_RECALL = 0.98  # quantile of positive-pair distances that τ admits
 _JOIN_BLOCK = 1 << 20  # float64 elements of one block's difference tensor
 
 
-def embed_group(model: EMF, group: tuple[Vocab, list[TreeEnc]]) -> np.ndarray:
+def embed_group(model: EMF, group: InstanceGroup) -> np.ndarray:
     """(n, h) embeddings of one SF-group's :func:`instance_group` under
-    the group-wise n-ary db-agnostic encoding."""
-    X, L, R, mask = pad_encs(convert_group(group[1], group[0]))
-    return model.embed_eval(X, L, R, mask)
+    the group-wise n-ary db-agnostic encoding; raises ``ValueError``
+    when the group exceeds the agnostic space."""
+    return model.embed_eval(*group_agnostic(group))
 
 
 def radius_join(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
@@ -60,7 +65,7 @@ def radius_join(Z: np.ndarray, tau: float) -> set[tuple[int, int]]:
 
 
 def group_candidate_pairs(
-    model: EMF, group: tuple[Vocab, list[TreeEnc]], *, tau: float = DEFAULT_TAU
+    model: EMF, group: InstanceGroup, *, tau: float = DEFAULT_TAU
 ) -> set[tuple[int, int]]:
     """Candidate pairs (local indices, i < j) within one SF-group;
     raises ``ValueError`` when the group exceeds the agnostic space."""
@@ -68,7 +73,7 @@ def group_candidate_pairs(
 
 
 def group_pairs(
-    model: EMF, group: tuple[Vocab, list[TreeEnc]], *, tau: float
+    model: EMF, group: InstanceGroup, *, tau: float
 ) -> tuple[set[tuple[int, int]], int]:
     """The VMF's survivors within one SF-group (local indices, i < j),
     and 1 if the group passed through whole, else 0.
@@ -78,7 +83,7 @@ def group_pairs(
     try:
         return group_candidate_pairs(model, group, tau=tau), 0
     except ValueError:
-        return set(itertools.combinations(range(len(group[1])), 2)), 1
+        return set(itertools.combinations(range(len(group)), 2)), 1
 
 
 def candidate_pairs(
@@ -96,15 +101,19 @@ def candidate_pairs(
 
 
 def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
-    """Embedding distance of each pair, each embedded as its own
-    two-plan group; NaN for a pair outside the agnostic space."""
+    """Embedding distance of each pair under its pairwise encoding (a
+    two-plan group's n-ary one); NaN for a pair outside the agnostic
+    space. All plans are prepared as one group and embedded in packed
+    pair batches."""
     out = np.full(len(pairs), np.nan)
-    for k, pair in enumerate(pairs):
-        try:
-            Z = embed_group(model, instance_group(list(pair)))
-        except ValueError:
-            continue
-        out[k] = np.linalg.norm(Z[0] - Z[1])
+    if not pairs:
+        return out
+    group = instance_group([p for pair in pairs for p in pair])
+    index = [(2 * k, 2 * k + 1) for k in range(len(pairs))]
+    for ks, a, b in pair_batches(group, index):
+        diff = model.embed_packed(*a) - model.embed_packed(*b)
+        # a 1-D norm per row: the axis=1 norm rounds differently and moves τ
+        out[ks] = [np.linalg.norm(d) for d in diff]
     return out
 
 

@@ -55,7 +55,8 @@ class TreeConv(Layer):
         H[b,i] = X[b,i]·Ws + X[b,L[b,i]]·Wl + X[b,R[b,i]]·Wr + b
 
     This is the Mou et al. [39] / Neo [37] triangle-convolution shape
-    the paper's EMF uses (§3.2, §5).
+    the paper's EMF uses (§3.2, §5). :meth:`forward_packed` computes the
+    same ``H`` on packed trees in eval mode.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
@@ -80,6 +81,17 @@ class TreeConv(Layer):
         H = X @ self.p["Ws"] + XL @ self.p["Wl"] + XR @ self.p["Wr"] + self.p["b"]
         H *= mask[..., None]
         return H, (X, XL, XR, L, R, pl, pr, mask)
+
+    def forward_packed(self, X, left, right):
+        """Eval-mode forward on packed rows (no padding, no cache): one
+        matmul against ``[Ws|Wl|Wr]``, then each node adds its
+        children's rows of the ``Wl`` and ``Wr`` output blocks. Row −1,
+        an absent child, is the zero row appended to the product."""
+        d = self.p["b"].shape[0]
+        Y = np.empty((X.shape[0] + 1, 3 * d))
+        np.matmul(X, np.hstack([self.p["Ws"], self.p["Wl"], self.p["Wr"]]), out=Y[:-1])
+        Y[-1] = 0.0
+        return Y[:-1, :d] + Y[left, d : 2 * d] + Y[right, 2 * d :] + self.p["b"]
 
     def backward(self, cache, dH):
         X, XL, XR, L, R, pl, pr, mask = cache

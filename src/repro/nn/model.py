@@ -10,6 +10,16 @@ Scaled down from the paper's (512, 128) conv / (128, 64) linear sizes
 to keep pure-numpy training fast; shape and layer count match.
 The conv stack doubles as the VMF's embedding function (§2.2):
 :meth:`EMF.embed_eval` is what the vector-matching filter indexes.
+
+Training runs on padded batches (:meth:`EMF.embed`,
+:meth:`EMF.forward_pair`, with backward passes). Every eval path —
+:meth:`EMF.embed_packed` (behind :meth:`EMF.embed_eval`) and
+:meth:`EMF.predict_proba` — runs on
+:class:`~repro.encoding.instance.Packed` trees instead: one matmul per
+conv layer over all nodes of the batch with no padding rows, children
+added by a gather on output rows, max pooling per tree by
+``np.maximum.reduceat``. The padded eval forward is the tests'
+reference for it.
 """
 from __future__ import annotations
 
@@ -98,18 +108,35 @@ class EMF:
         d = self.bn1.backward(c_bn1, d)
         self.conv1.backward(c_conv1, d)
 
-    def embed_eval(self, X, L, R, mask) -> np.ndarray:
-        """Eval-mode embedding (B, h) — used by the VMF (§2.2)."""
-        z, _ = self.embed(X, L, R, mask, train=False)
-        return z
+    def embed_eval(self, starts, X, left, right) -> np.ndarray:
+        """The VMF's embedding of one SF-group (§2.2): :meth:`embed_packed`
+        under its own name. The cascade calls it once per SF-group and
+        nowhere else, so a profile of it counts the VMF's embeddings."""
+        return self.embed_packed(starts, X, left, right)
+
+    def embed_packed(self, starts, X, left, right) -> np.ndarray:
+        """Eval-mode embedding (B, h) of B packed trees (the fields of a
+        :class:`~repro.encoding.instance.Packed`): the conv stack on
+        packed rows, max-pooled per tree."""
+        h = self.conv1.forward_packed(X, left, right)
+        h, _ = self.act1.forward(self.bn1.forward(h, None, train=False)[0])
+        h = self.conv2.forward_packed(h, left, right)
+        h, _ = self.act2.forward(self.bn2.forward(h, None, train=False)[0])
+        return np.maximum.reduceat(h, starts, axis=0)
 
     # -- pair classification -----------------------------------------
     def forward_pair(self, a, b, train: bool):
-        """a/b are (X, L, R, mask) tuples; returns logits (B,) + cache."""
+        """a/b are padded (X, L, R, mask) tuples; returns logits (B,) + cache."""
         za, ca = self.embed(*a, train)
         zb, cb = self.embed(*b, train)
         ra = (a[0] * a[3][..., None]).sum(axis=1)
         rb = (b[0] * b[3][..., None]).sum(axis=1)
+        logits, head = self._head(za, zb, ra, rb, train)
+        return logits, (ca, cb, head)
+
+    def _head(self, za, zb, ra, rb, train: bool):
+        """FC head on ``[za, zb, |za−zb|, za⊙zb, |ra−rb|]``: logits (B,)
+        + cache."""
         diff = za - zb
         sign = np.sign(diff)
         z = np.concatenate([za, zb, np.abs(diff), za * zb, np.abs(ra - rb)], axis=1)
@@ -120,12 +147,10 @@ class EMF:
         h, ca2 = self.actf2.forward(h)
         h, cd2 = self.drop2.forward(h, train, self._rng)
         logits, c3 = self.fc3.forward(h)
-        return logits[:, 0], (
-            ca, cb, c1, ca1, cd1, c2, ca2, cd2, c3, za, zb, sign,
-        )
+        return logits[:, 0], (c1, ca1, cd1, c2, ca2, cd2, c3, za, zb, sign)
 
     def backward_pair(self, cache, dlogits):
-        ca, cb, c1, ca1, cd1, c2, ca2, cd2, c3, za, zb, sign = cache
+        ca, cb, (c1, ca1, cd1, c2, ca2, cd2, c3, za, zb, sign) = cache
         d = self.fc3.backward(c3, dlogits[:, None])
         d = self.drop2.backward(cd2, d)
         d = self.actf2.backward(ca2, d)
@@ -145,7 +170,15 @@ class EMF:
         self.embed_backward(cb, dzb)
 
     def predict_proba(self, a, b) -> np.ndarray:
-        logits, _ = self.forward_pair(a, b, train=False)
+        """Eval-mode equivalence probabilities (B,) of B pairs; a/b are
+        packed trees (``Packed`` fields), the raw bag-of-nodes skip their
+        per-tree row sums."""
+        (sa, Xa, La, Ra), (sb, Xb, Lb, Rb) = a, b
+        logits, _ = self._head(
+            self.embed_packed(sa, Xa, La, Ra), self.embed_packed(sb, Xb, Lb, Rb),
+            np.add.reduceat(Xa, sa, axis=0), np.add.reduceat(Xb, sb, axis=0),
+            train=False,
+        )
         return 1.0 / (1.0 + np.exp(-logits))
 
     # -- persistence --------------------------------------------------

@@ -2,7 +2,9 @@
 
 Turns labeled plan pairs into padded db-agnostic tensors, trains the
 EMF with Adam + BCE, and computes the accuracy/precision/recall/F1 and
-confusion-matrix numbers the paper reports in Tables 3–5.
+confusion-matrix numbers the paper reports in Tables 3–5. Prediction
+packs each padded batch (:func:`pack_padded`) for the model's one eval
+path.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.encoding.agnostic import encode_pair_agnostic
-from repro.encoding.instance import TreeEnc
+from repro.encoding.instance import Packed, TreeEnc, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
@@ -49,6 +51,19 @@ def pad_encs(encs: list[TreeEnc], m: int | None = None):
         R[i, :k] = e.right
         mask[i, :k] = 1.0
     return X, L, R, mask
+
+
+def pack_padded(X, L, R, mask) -> Packed:
+    """A padded batch (B, M, ·) packed row-wise: the nodes with mask
+    > 0, in order, child indices made global."""
+    valid = mask > 0
+    row = np.cumsum(valid).reshape(valid.shape) - 1  # packed row of each node
+    b = np.arange(len(X))[:, None]
+
+    def rows(idx):
+        return np.where(idx >= 0, row[b, idx], -1)[valid]
+
+    return Packed(offsets(valid.sum(axis=1)), X[valid], rows(L), rows(R))
 
 
 @dataclass
@@ -178,7 +193,7 @@ def predict(model: EMF, data: PairTensors) -> np.ndarray:
     for s in range(0, len(data), PREDICT_BATCH):
         idx = np.arange(s, min(s + PREDICT_BATCH, len(data)))
         b = data.subset(idx)
-        out.append(model.predict_proba(b.a, b.b))
+        out.append(model.predict_proba(pack_padded(*b.a), pack_padded(*b.b)))
     return np.concatenate(out) if out else np.array([])
 
 

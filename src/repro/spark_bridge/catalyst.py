@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from repro.core.plan import BinOp, Col, Comparison, Const, Expr, Plan, Project
+from repro.core.plan import BinOp, Col, Comparison, Const, Expr, Plan
 from repro.workload.rewrites import compose
 
 

@@ -42,6 +42,18 @@ def _workload_pairs(plans: list[Plan]) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(len(plans)), 2))
 
 
+def _labelled(
+    plans: list[Plan], i: int, j: int, verifier: Verifier, source: str
+) -> LabeledPair | None:
+    """The pair labelled by the AV; None when the check raises
+    ``RuntimeError`` (an unknown is no label, not a negative)."""
+    try:
+        label = verifier.equivalent(plans[i], plans[j])
+    except RuntimeError:
+        return None
+    return LabeledPair(plans[i], plans[j], label, source)
+
+
 def sample_filter_balanced(
     plans: list[Plan],
     model: EMF,
@@ -57,9 +69,8 @@ def sample_filter_balanced(
     pos: list[LabeledPair] = []
     neg: list[LabeledPair] = []
     for i, j in candidates[:batch]:
-        lp = LabeledPair(plans[i], plans[j],
-                         verifier.equivalent(plans[i], plans[j]), "ssfl-filter")
-        (pos if lp.label else neg).append(lp)
+        if (lp := _labelled(plans, i, j, verifier, "ssfl-filter")) is not None:
+            (pos if lp.label else neg).append(lp)
     # balance: top up negatives with random same-SF-group pairs. The
     # attempt budget matters: with a permissive τ the VMF candidate set
     # can cover *every* same-group pair, leaving nothing to draw.
@@ -75,10 +86,8 @@ def sample_filter_balanced(
         if (i, j) in cand_set or (i, j) in seen_neg:
             continue
         seen_neg.add((i, j))
-        neg.append(
-            LabeledPair(plans[i], plans[j],
-                        verifier.equivalent(plans[i], plans[j]), "ssfl-random-neg")
-        )
+        if (lp := _labelled(plans, i, j, verifier, "ssfl-random-neg")) is not None:
+            neg.append(lp)
     sample = pos + neg
     rng.shuffle(sample)
     return sample[:batch]
@@ -94,12 +103,8 @@ def sample_random(
     """Uniform pair sampling + AV labeling (Figure 9's weak baseline)."""
     pairs = _workload_pairs(plans)
     idx = rng.choice(len(pairs), size=min(batch, len(pairs)), replace=False)
-    return [
-        LabeledPair(plans[pairs[k][0]], plans[pairs[k][1]],
-                    verifier.equivalent(plans[pairs[k][0]], plans[pairs[k][1]]),
-                    "ssfl-rand")
-        for k in idx
-    ]
+    labelled = (_labelled(plans, *pairs[k], verifier, "ssfl-rand") for k in idx)
+    return [lp for lp in labelled if lp is not None]
 
 
 @dataclass

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.plan import (
-    Col,
     Comparison,
     Const,
     Filter,
-    Join,
     Plan,
     Project,
     to_json,
@@ -140,7 +138,8 @@ def make_negative_pairs(
     labels are exact — §5 notes this is how a perfect dataset is built;
     our AV is cheap enough to afford it. A near-miss perturbation can
     accidentally be equivalent (e.g. bumping the constant of a redundant
-    filter), so screening is not optional paranoia.
+    filter), so screening is not optional paranoia. A candidate whose
+    check raises ``RuntimeError`` is rejected.
     """
     from repro.verifier.av import Verifier
 
@@ -152,7 +151,10 @@ def make_negative_pairs(
     def ok(a: Plan, b: Plan) -> bool:
         if to_json(a) == to_json(b):
             return False
-        return not (screen and av.equivalent(a, b))
+        try:
+            return not (screen and av.equivalent(a, b))
+        except RuntimeError:
+            return False  # unknown: not a certain negative
 
     while len(out) < n:
         p = random_base_plan(schema, g)

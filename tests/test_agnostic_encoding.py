@@ -7,13 +7,15 @@ import pytest
 
 from repro.core.plan import rename_aliases
 from repro.encoding.agnostic import (
-    convert_group,
-    convert_pair,
+    PAIR_BATCH,
     encode_group_agnostic,
     encode_pair_agnostic,
+    group_agnostic,
     group_vocab,
+    pack_group,
+    pair_batches,
 )
-from repro.encoding.instance import encode_tree, schema_vocab
+from repro.encoding.instance import encode_tree, pack_encs, schema_vocab
 from repro.workload.generator import random_plans
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE, Schema, Table
 from tests.test_plan import fig1_q1, fig1_q2
@@ -44,6 +46,24 @@ def test_group_vocab_bounds_enforced():
         group_vocab({f"T{i}": ["c"] for i in range(7)})
     with pytest.raises(ValueError):
         group_vocab({"A": [f"c{j}" for j in range(8)]})
+
+
+def assert_packed_equal(got, expect):
+    for field, g, e in zip(expect._fields, got, expect):
+        assert np.array_equal(g, e), field
+
+
+def assert_converter_matches(encs, vocab, direct):
+    """The group-wise column map, and for a pair the pairwise one, give
+    exactly the direct encodings ``direct`` of the plans behind
+    ``encs`` (instance encodings over ``vocab``)."""
+    group = pack_group(encs, vocab)
+    assert_packed_equal(group_agnostic(group), pack_encs(direct))
+    if len(encs) == 2:
+        ((ks, a, b),) = pair_batches(group, [(0, 1)])
+        assert ks.tolist() == [0]
+        assert_packed_equal(a, pack_encs(direct[:1]))
+        assert_packed_equal(b, pack_encs(direct[1:]))
 
 
 def test_agnostic_encoding_invariant_under_schema_renaming():
@@ -77,11 +97,8 @@ def test_converter_matches_direct_fig1():
     for aliases in ({}, {"A": "z", "B": "a"}):
         q1 = rename_aliases(fig1_q1(), aliases)
         q2 = rename_aliases(fig1_q2(), aliases)
-        c1, c2 = convert_pair(encode_tree(q1, vocab), encode_tree(q2, vocab), vocab)
-        d1, d2 = encode_pair_agnostic(q1, q2)
-        assert np.array_equal(c1.X, d1.X)
-        assert np.array_equal(c2.X, d2.X)
-        assert np.array_equal(c1.left, d1.left)
+        encs = [encode_tree(q1, vocab), encode_tree(q2, vocab)]
+        assert_converter_matches(encs, vocab, list(encode_pair_agnostic(q1, q2)))
 
 
 def schema_vocab_ab():
@@ -102,21 +119,44 @@ def test_converter_matches_direct_random_pairs(schema, seed):
     for i in range(0, 10, 2):
         p1, p2 = plans[i], plans[i + 1]
         try:
-            d1, d2 = encode_pair_agnostic(p1, p2)
+            direct = list(encode_pair_agnostic(p1, p2))
         except ValueError:
             continue  # exceeds agnostic space — skip
-        c1, c2 = convert_pair(encode_tree(p1, vocab), encode_tree(p2, vocab), vocab)
-        assert np.array_equal(c1.X, d1.X), f"pair {i} mismatch"
-        assert np.array_equal(c2.X, d2.X)
+        assert_converter_matches(
+            [encode_tree(p1, vocab), encode_tree(p2, vocab)], vocab, direct
+        )
 
 
 def test_nary_group_encoding_matches_direct():
     vocab = schema_vocab(TPCH_LITE)
     plans = random_plans(TPCH_LITE, 6, seed=5)
-    direct = encode_group_agnostic(plans)
-    conv = convert_group([encode_tree(p, vocab) for p in plans], vocab)
-    for d, c in zip(direct, conv):
-        assert np.array_equal(d.X, c.X)
+    assert_converter_matches(
+        [encode_tree(p, vocab) for p in plans], vocab, encode_group_agnostic(plans)
+    )
+
+
+@pytest.mark.parametrize("schema", [TPCH_LITE, TPCDS_LITE], ids=lambda s: s.name)
+def test_pair_batches_match_direct_pairs(schema):
+    """Every pair of a group gets its own column map inside a batch;
+    out-of-space pairs are left out of the batches."""
+    vocab = schema_vocab(schema)
+    plans = random_plans(schema, 24, seed=8)  # 276 pairs
+    group = pack_group([encode_tree(p, vocab) for p in plans], vocab)
+    pairs = list(itertools.combinations(range(len(plans)), 2))
+    direct = {}
+    for k, (i, j) in enumerate(pairs):
+        try:
+            direct[k] = encode_pair_agnostic(plans[i], plans[j])
+        except ValueError:
+            pass
+    seen = []
+    for ks, a, b in pair_batches(group, pairs):
+        assert len(ks) <= PAIR_BATCH
+        seen += ks.tolist()
+        assert_packed_equal(a, pack_encs([direct[k][0] for k in ks]))
+        assert_packed_equal(b, pack_encs([direct[k][1] for k in ks]))
+    assert seen == sorted(direct)
+    assert len(seen) > PAIR_BATCH  # several batches
 
 
 def test_pairwise_encoding_depends_on_partner():
@@ -167,11 +207,10 @@ def test_encoders_agree_outside_the_space(pool):
         except ValueError:
             raised += 1
             with pytest.raises(ValueError):
-                convert_group(encs, vocab)
+                group_agnostic(pack_group(encs, vocab))
+            if size == 2:
+                assert list(pair_batches(pack_group(encs, vocab), [(0, 1)])) == []
             continue
         kept += 1
-        for d, c in zip(direct, convert_group(encs, vocab)):
-            assert np.array_equal(d.X, c.X)
-            assert np.array_equal(d.left, c.left)
-            assert np.array_equal(d.right, c.right)
+        assert_converter_matches(encs, vocab, direct)
     assert raised and kept

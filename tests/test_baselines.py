@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.optimizer_rules import optimizer_equivalent, optimizer_set
-from repro.baselines.signature import signature, signature_equivalent, signature_set
+from repro.baselines.signature import signature_equivalent, signature_set
 from repro.core.plan import rename_aliases
 from repro.verifier.av import verify
 from repro.workload.generator import random_base_plan

@@ -11,6 +11,9 @@ import pytest
 
 from repro.experiments import ablation, table1, table3, table4, table5, write_result
 from repro.nn.pretrained import EPOCHS, TRAIN_PAIRS
+from repro.solver.fm import SolverError
+from repro.verifier.av import Verifier
+from tests.test_plan import fig1_q1, fig1_q2
 
 PAPER_TABLES = {"table1", "table3", "table4", "table5", "ablation", "caching"}
 
@@ -52,6 +55,20 @@ def test_table1_baseline_ladder(t1):
 def test_table1_markdown_renders(t1):
     md = t1.markdown()
     assert "| GEqO |" in md and "TPR" in md
+
+
+def test_oracle_row_counts_a_raising_check_as_unknown():
+    class Raising:
+        def equivalent(self, p1, p2):
+            raise SolverError("budget exhausted")
+
+    plans = [fig1_q1(), fig1_q2()]
+    assert table1.oracle_row(plans, {(0, 1)}, Raising()).extra == (
+        "1 verifications, 1 unknown"
+    )
+    assert table1.oracle_row(plans, {(0, 1)}, Verifier()).extra == (
+        "1 verifications, 0 unknown"
+    )
 
 
 def test_table3_mlp_wins(emf_model):

@@ -7,6 +7,7 @@ import pytest
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
 from repro.encoding.agnostic import encode_pair_agnostic, instance_group
 from repro.encoding.canonical_form import canonical_plan
+from repro.encoding.instance import pack_encs
 from repro.filters import vmf as vmf_module
 from repro.filters.emf_filter import EMF_BATCH, emf_scores
 from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
@@ -17,7 +18,6 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
-from repro.nn.train import pad_encs
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
@@ -181,8 +181,9 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
 
 def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
     """From-scratch reference for :func:`emf_scores`: each pair encoded
-    by ``encode_pair_agnostic`` on its canonical plans, and predicted in
-    the same batches; an out-of-space pair scores 1.0 and is counted."""
+    by ``encode_pair_agnostic`` on its canonical plans, packed and
+    predicted in the same batches; an out-of-space pair scores 1.0 and
+    is counted."""
     out = np.ones(len(plan_pairs))
     ks, encs = [], []
     for k, (a, b) in enumerate(plan_pairs):
@@ -193,8 +194,7 @@ def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
         ks.append(k)
     for s in range(0, len(ks), EMF_BATCH):
         ea, eb = zip(*encs[s : s + EMF_BATCH])
-        m = max(e.X.shape[0] for e in ea + eb)
-        out[ks[s : s + EMF_BATCH]] = model.predict_proba(pad_encs(ea, m), pad_encs(eb, m))
+        out[ks[s : s + EMF_BATCH]] = model.predict_proba(pack_encs(ea), pack_encs(eb))
     return out, len(plan_pairs) - len(ks)
 
 

@@ -4,7 +4,6 @@ Includes a randomized differential test against float sampling: if a
 random point satisfies a system, the solver must agree it is sat.
 """
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.solver.fm import equivalent_sets, implies, satisfiable

@@ -1,6 +1,5 @@
 """HNSW index tests: recall vs brute force, radius semantics, scaling."""
 import numpy as np
-import pytest
 
 from repro.ann.hnsw import HNSW, brute_force_knn
 

@@ -1,0 +1,72 @@
+"""Every imported name in ``src/`` and ``tests/`` is used.
+
+An AST scan: a name bound by ``import``/``from … import`` must be read
+somewhere in its module, as a name, the root of an attribute chain, an
+entry of ``__all__`` or inside a string annotation. An import line that
+carries ``# noqa: F401`` is exempt."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bound(tree: ast.Module, lines: list[str]):
+    """(name, line) of every name an import binds, noqa lines skipped."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        span = lines[node.lineno - 1 : node.end_lineno]
+        if any("noqa: F401" in line for line in span):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name != "*":
+                yield name, node.lineno
+
+
+def _strings(tree: ast.Module):
+    """String constants that may name an import: annotations, and the
+    entries of ``__all__``."""
+    for node in ast.walk(tree):
+        roots = []
+        if isinstance(node, ast.arg):
+            roots = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            roots = [node.annotation]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            roots = [node.value]
+        for root in filter(None, roots):
+            for sub in ast.walk(root):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for text in _strings(tree):
+        try:
+            used |= {n.id for n in ast.walk(ast.parse(text, mode="eval"))
+                     if isinstance(n, ast.Name)}
+        except SyntaxError:
+            pass
+    return used
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]):
+        text = path.read_text()
+        tree = ast.parse(text)
+        used = _used(tree)
+        unused += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in _bound(tree, text.splitlines())
+            if name not in used
+        ]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

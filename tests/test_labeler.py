@@ -1,10 +1,13 @@
 """Dataset builder tests: labels must actually be (non)equivalences."""
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.plan import Col, Comparison, Join, Project, Scan, to_json
 from repro.filters.schema_filter import sf_key
 from repro.solver.fm import SolverError
+from repro.verifier import av
 from repro.verifier.av import Verifier
 from repro.workload import labeler
 from repro.workload.generator import random_base_plan
@@ -57,6 +60,38 @@ def test_positive_pairs_are_av_equivalent():
 def test_negative_pairs_are_av_nonequivalent():
     v = Verifier()
     pairs = make_negative_pairs(TPCH_LITE, 30, seed=4)
+    assert all(not v.equivalent(p.p1, p.p2) for p in pairs)
+
+
+class FlakyVerifier(Verifier):
+    """Raises ``SolverError`` on a fixed half of all ordered plan pairs
+    (by their JSON), as an exhausted budget would; ``raised`` keeps
+    those pairs."""
+
+    def __init__(self):
+        super().__init__()
+        self.raised: set[tuple[str, str]] = set()
+
+    def equivalent(self, p1, p2):
+        key = (to_json(p1), to_json(p2))
+        if hashlib.sha256("\n".join(key).encode()).digest()[0] % 2:
+            self.raised.add(key)
+            raise SolverError("budget exhausted")
+        return super().equivalent(p1, p2)
+
+
+def test_negative_pairs_reject_candidates_whose_check_raises(monkeypatch):
+    made = []
+
+    def flaky():
+        made.append(FlakyVerifier())
+        return made[-1]
+
+    monkeypatch.setattr(av, "Verifier", flaky)
+    pairs = make_negative_pairs(TPCH_LITE, 30, seed=4)
+    assert len(pairs) == 30 and made[0].raised
+    assert not made[0].raised & {(to_json(p.p1), to_json(p.p2)) for p in pairs}
+    v = Verifier()
     assert all(not v.equivalent(p.p1, p.p2) for p in pairs)
 
 

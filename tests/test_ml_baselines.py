@@ -1,6 +1,5 @@
 """LR / RF baseline classifier tests (Table 3 candidates)."""
 import numpy as np
-import pytest
 
 from repro.ml.forest import RandomForest, _gini_split
 from repro.ml.logistic import LogisticRegression

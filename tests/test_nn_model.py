@@ -13,8 +13,8 @@ from repro.nn.train import (
     encode_pairs,
     evaluate,
     metrics,
+    pack_padded,
     pad_encs,
-    predict,
     train_emf,
 )
 from repro.workload.labeler import make_dataset
@@ -79,14 +79,15 @@ def test_pair_numeric_gradient():
 def test_symmetric_embedding_shared_weights():
     a, b, y = _pair_batch()
     model = EMF(_CFG)
-    za = model.embed_eval(*a)
-    zb = model.embed_eval(*a)
+    za = model.embed_eval(*pack_padded(*a))
+    zb = model.embed_eval(*pack_padded(*a))
     assert np.allclose(za, zb)
 
 
 def test_save_load_roundtrip(tmp_path):
     a, b, y = _pair_batch()
     model = EMF(_CFG)
+    a, b = pack_padded(*a), pack_padded(*b)
     p1 = model.predict_proba(a, b)
     path = tmp_path / "emf.npz"
     path.write_bytes(model.to_bytes())

@@ -1,0 +1,136 @@
+"""Parity of the packed eval path (no padding) with the padded reference.
+
+The VMF's embeddings and the EMF's scores run on packed SF-groups
+(``instance_group`` → column maps → ``EMF.embed_eval`` /
+``EMF.predict_proba``). The padded forward (``EMF.embed(train=False)``,
+``EMF.forward_pair``) on directly encoded plans is the reference: on
+every SF-group of the Table 1 pool and on an out-of-space group, the
+two agree to rounding, and every decision the cascade takes from them
+is identical."""
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.encoding.agnostic import (
+    encode_group_agnostic,
+    encode_pair_agnostic,
+    instance_group,
+)
+from repro.encoding.canonical_form import canonical_plan
+from repro.experiments.table1 import planted_pool
+from repro.filters.emf_filter import EMF_BATCH, EMF_THRESHOLD, emf_scores
+from repro.filters.schema_filter import sf_groups
+from repro.filters.vmf import (
+    TARGET_RECALL,
+    calibrate_tau,
+    embed_group,
+    pair_distances,
+    radius_join,
+)
+from repro.nn.train import encode_pairs, pad_encs, predict
+from repro.workload.labeler import make_dataset, make_positive_pairs
+from repro.workload.schema import TPCDS_LITE, TPCH_LITE
+from tests.test_filters import _wide_plan
+
+TOL = 1e-10
+
+
+@pytest.fixture(scope="module")
+def pool(emf_model):
+    """The Table 1 pool (320 plans, seed 100) and its τ."""
+    return planted_pool(emf_model, n_subexpr=320, n_equiv=50, seed=100)
+
+
+def padded_embeddings(model, plans) -> np.ndarray:
+    encs = encode_group_agnostic([canonical_plan(p) for p in plans])
+    z, _ = model.embed(*pad_encs(encs), train=False)
+    return z
+
+
+def padded_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
+    """Each pair encoded from scratch, padded and scored by
+    ``forward_pair``; an out-of-space pair scores 1.0 and is counted."""
+    out = np.ones(len(pairs))
+    ks, encs = [], []
+    for k, (i, j) in enumerate(pairs):
+        try:
+            encs.append(encode_pair_agnostic(canonical_plan(plans[i]), canonical_plan(plans[j])))
+        except ValueError:
+            continue
+        ks.append(k)
+    for s in range(0, len(ks), EMF_BATCH):
+        ea, eb = zip(*encs[s : s + EMF_BATCH])
+        m = max(e.X.shape[0] for e in ea + eb)
+        logits, _ = model.forward_pair(pad_encs(ea, m), pad_encs(eb, m), train=False)
+        out[ks[s : s + EMF_BATCH]] = 1.0 / (1.0 + np.exp(-logits))
+    return out, len(pairs) - len(ks)
+
+
+def survivors(pairs, scores) -> set:
+    return {p for p, s in zip(pairs, scores) if s >= EMF_THRESHOLD}
+
+
+def test_packed_path_matches_padded_on_table1_groups(emf_model, pool):
+    plans, tau = pool
+    groups = [ids for ids in sf_groups(plans).values() if len(ids) > 1]
+    assert len(groups) == 10
+    n_pairs = 0
+    for ids in groups:
+        local = [plans[i] for i in ids]
+        group = instance_group(local)
+        z = embed_group(emf_model, group)
+        z_ref = padded_embeddings(emf_model, local)
+        assert np.abs(z - z_ref).max() <= TOL
+        assert radius_join(z, tau) == radius_join(z_ref, tau)
+
+        pairs = list(itertools.combinations(range(len(local)), 2))
+        scores, passed = emf_scores(emf_model, pairs, group)
+        reference, out = padded_scores(emf_model, local, pairs)
+        assert np.abs(scores - reference).max() <= TOL
+        assert survivors(pairs, scores) == survivors(pairs, reference)
+        assert passed == out == 0
+        n_pairs += len(pairs)
+    assert n_pairs == 6996
+
+
+def test_packed_path_out_of_space(emf_model):
+    """A group over 8 columns of one table exceeds the agnostic space
+    whole; only its pair of 2- and 3-column plans fits."""
+    plans = [_wide_plan(8, 1.0), _wide_plan(8, 2.0), _wide_plan(2, 3.0), _wide_plan(3, 4.0)]
+    group = instance_group(plans)
+    with pytest.raises(ValueError):
+        embed_group(emf_model, group)
+    with pytest.raises(ValueError):
+        encode_group_agnostic([canonical_plan(p) for p in plans])
+    pairs = list(itertools.combinations(range(4), 2))
+    scores, passed = emf_scores(emf_model, pairs, group)
+    reference, out = padded_scores(emf_model, plans, pairs)
+    assert passed == out == 5
+    assert all(scores[k] == 1.0 for k in range(5))  # (2, 3) is last
+    assert abs(scores[5] - reference[5]) <= TOL and scores[5] < 1.0
+
+
+def test_predict_packs_padded_batches(emf_model):
+    """``train.predict`` (Tables 3–5, SSFL) packs each padded batch for
+    ``predict_proba``; it agrees with the padded ``forward_pair``."""
+    data = encode_pairs(make_dataset(TPCH_LITE, 150, 150, seed=3))
+    assert len(data) > 256  # more than one batch, padded to one node count
+    logits, _ = emf_model.forward_pair(data.a, data.b, train=False)
+    np.testing.assert_allclose(predict(emf_model, data), 1.0 / (1.0 + np.exp(-logits)),
+                               rtol=0, atol=TOL)
+
+
+def test_pair_distances_match_padded(emf_model):
+    """τ calibration embeds its pairs in packed pair batches; each
+    pair's distance, and so τ, matches the pair embedded alone as a
+    padded two-plan group (the Table 1 pool's calibration pairs)."""
+    pairs = [(p.p1, p.p2) for p in make_positive_pairs(TPCDS_LITE, 80, seed=101)]
+    reference = np.array([np.linalg.norm(z[0] - z[1]) for z in
+                          (padded_embeddings(emf_model, pair) for pair in pairs)])
+    dists = pair_distances(emf_model, pairs)
+    assert not np.isnan(dists).any()
+    assert np.abs(dists - reference).max() <= TOL
+    tau = float(np.quantile(reference, TARGET_RECALL))
+    # a few ulps of τ ≈ 4.4 is ~1e-15; a drift of 1e-11 is a change
+    assert abs(calibrate_tau(emf_model, pairs) - tau) <= 1e-12

@@ -6,8 +6,6 @@ import pytest
 from repro.core.plan import (
     Col,
     Comparison,
-    Const,
-    Filter,
     Join,
     Project,
     Scan,

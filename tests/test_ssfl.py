@@ -1,6 +1,5 @@
 """SSFL tests (§6, Algorithm 1; Figure 9 qualitative claim)."""
 import numpy as np
-import pytest
 
 from repro.encoding.agnostic import DEFAULT_SPACE
 from repro.nn.model import EMF, EMFConfig
@@ -11,10 +10,13 @@ from repro.ssfl.loop import (
     sample_random,
     ssfl,
 )
+from repro.core.plan import to_json
+from repro.solver.fm import SolverError
 from repro.verifier.av import Verifier
 from repro.workload.labeler import make_dataset, make_planted_workload
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from repro.workload.rewrites import NORMALIZATION, SYNTACTIC
+from tests.test_labeler import FlakyVerifier
 
 
 def _degenerate_model(seed=0):
@@ -22,7 +24,6 @@ def _degenerate_model(seed=0):
     with only syntactic/normalization rewrites — the §7.3 scenario of a
     model meeting an unseen workload."""
     from repro.nn.train import train_emf
-    from repro.workload.generator import random_plans
 
     ds = make_dataset(
         TPCH_LITE, 60, 60, seed=40,
@@ -62,6 +63,41 @@ def test_random_sampling_rarely_finds_positives():
     # 4 positives among 780 pairs → a 64-pair sample has <1 in expectation
     assert n_pos <= 2
     assert all(isinstance(p.label, (bool, np.bool_)) for p in sample)
+
+
+class RaisingVerifier(Verifier):
+    def equivalent(self, p1, p2):
+        raise SolverError("budget exhausted")
+
+
+def _keys(sample):
+    return {(to_json(p.p1), to_json(p.p2)) for p in sample}
+
+
+def test_filter_balanced_sampling_drops_pairs_whose_check_raises(emf_model):
+    """An unknown verdict is no label: the pair is dropped, not
+    labelled negative."""
+    w = make_planted_workload(TPCDS_LITE, n_subexpr=40, n_equiv=6, seed=50)
+    v = FlakyVerifier()
+    sample = sample_filter_balanced(
+        w.plans, emf_model, v, tau=5.0, batch=64, rng=np.random.default_rng(0)
+    )
+    assert sample and v.raised and not v.raised & _keys(sample)
+    assert sample_filter_balanced(
+        w.plans, emf_model, RaisingVerifier(), tau=5.0, batch=64,
+        rng=np.random.default_rng(0),
+    ) == []
+
+
+def test_random_sampling_drops_pairs_whose_check_raises():
+    w = make_planted_workload(TPCDS_LITE, n_subexpr=40, n_equiv=4, seed=51)
+    v = FlakyVerifier()
+    sample = sample_random(w.plans, v, batch=64, rng=np.random.default_rng(1))
+    assert v.raised and len(sample) == 64 - len(v.raised)
+    assert not v.raised & _keys(sample)
+    assert sample_random(
+        w.plans, RaisingVerifier(), batch=64, rng=np.random.default_rng(1)
+    ) == []
 
 
 def test_ssfl_stops_when_confident(emf_model):

@@ -4,9 +4,6 @@ The headline case is Figure 1 from the paper: two syntactically
 different subexpressions that the AV must prove equivalent. Soundness
 is cross-validated against the randomized DuckDB model checker.
 """
-import numpy as np
-import pytest
-
 from repro.core.plan import (
     Col,
     Comparison,

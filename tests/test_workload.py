@@ -9,7 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.plan import Project, base_tables, node_count, to_json
+from repro.core.plan import Project, base_tables, to_json
 from repro.core.sqlgen import to_sql
 from repro.verifier.av import verify
 from repro.verifier.model_check import counterexample
