@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.solver.linexpr import Constraint, LinExpr, OPS, exact
 
@@ -147,6 +147,32 @@ class Comparison:
 
     def __repr__(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs}"
+
+
+Lower = Callable[[Comparison], Constraint]
+
+
+def lowering() -> Lower:
+    """:meth:`Comparison.to_constraint`, run once per predicate object.
+
+    The memo is keyed by identity and holds each predicate, so no id is
+    reused while it lives. Make one per call and drop it with the call:
+    plans are reused between calls, and a longer-lived memo would hide
+    their lowering cost."""
+    memo: dict[int, tuple[Comparison, Constraint]] = {}
+
+    def lower(pred: Comparison) -> Constraint:
+        hit = memo.get(id(pred))
+        if hit is None:
+            hit = memo[id(pred)] = (pred, pred.to_constraint())
+        return hit[1]
+
+    return lower
+
+
+def lower_each(pred: Comparison) -> Constraint:
+    """The memo-free :data:`Lower`: lowers ``pred`` on every call."""
+    return pred.to_constraint()
 
 
 # --------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.plan import JOIN_TYPES, Plan
+from repro.core.plan import JOIN_TYPES, Lower, Plan, lowering
 from repro.core.subexpr import referenced_by_table
 from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import Packed, TreeEnc, Vocab, encode_tree, offsets, pack_encs
@@ -156,14 +156,16 @@ def pack_group(encs: list[TreeEnc], vocab: Vocab) -> InstanceGroup:
     )
 
 
-def instance_group(plans: list[Plan]) -> InstanceGroup:
+def instance_group(plans: list[Plan], lower: Lower | None = None) -> InstanceGroup:
     """Canonicalize and instance-encode each plan of a group once, over
     the group's referenced tables and columns (no space bound: this
-    never raises)."""
-    canon = [canonical_plan(p) for p in plans]
+    never raises). The canonical order and the encoding share one
+    lowering per predicate: ``lower``, or a fresh :func:`lowering`."""
+    lower = lower or lowering()
+    canon = [canonical_plan(p, lower) for p in plans]
     tables = sorted(cols := referenced_by_table(canon))
     vocab = Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
-    return pack_group([encode_tree(p, vocab) for p in canon], vocab)
+    return pack_group([encode_tree(p, vocab, lower) for p in canon], vocab)
 
 
 def _slots(group: InstanceGroup, T: np.ndarray, C: np.ndarray):

@@ -16,22 +16,23 @@ still encode differently.
 """
 from __future__ import annotations
 
-from repro.core.plan import Plan, Project
+from repro.core.plan import Lower, Plan, Project, lower_each
 from repro.workload.rewrites import compose, decompose
 
 
-def canonical_plan(plan: Plan) -> Plan:
+def canonical_plan(plan: Plan, lower: Lower = lower_each) -> Plan:
     """Deterministic structural normal form (best-effort: returns the
     plan unchanged if it is not a root-Project SPJ or the join graph
-    cannot be rebuilt)."""
+    cannot be rebuilt). Predicates are lowered through ``lower`` for
+    their sort key, and the result holds the same predicate objects."""
     if not isinstance(plan, Project):
         return plan
     try:
         aliases, jps, fps, proj = decompose(plan)
         return compose(
             aliases,
-            sorted(jps, key=lambda p: repr(p.to_constraint())),
-            sorted(fps, key=lambda p: repr(p.to_constraint())),
+            sorted(jps, key=lambda p: repr(lower(p))),
+            sorted(fps, key=lambda p: repr(lower(p))),
             proj,
             order=sorted(aliases),
         )

@@ -39,11 +39,13 @@ from repro.core.plan import (
     Filter,
     Join,
     JOIN_TYPES,
+    Lower,
     Plan,
     Project,
     Scan,
     alias_map,
     bfs,
+    lower_each,
 )
 from repro.solver.linexpr import OPS, Constraint
 
@@ -221,7 +223,9 @@ def _encode_constraint(
             vec[vocab.off_null] = 1.0
 
 
-def encode_tree(plan: Plan, vocab: Vocab) -> TreeEnc:
+def encode_tree(plan: Plan, vocab: Vocab, lower: Lower = lower_each) -> TreeEnc:
+    """The node matrix of ``plan`` over ``vocab``; each predicate is
+    lowered through ``lower``."""
     amap = alias_map(plan)
     nodes = list(bfs(plan))
     index = {id(n): i for i, n in enumerate(nodes)}
@@ -233,12 +237,10 @@ def encode_tree(plan: Plan, vocab: Vocab) -> TreeEnc:
         if isinstance(n, Scan):
             X[i, vocab.off_table + vocab.table_idx(n.table)] = 1.0
         elif isinstance(n, Filter):
-            _encode_constraint(X[i], n.pred.to_constraint(), vocab, amap, None)
+            _encode_constraint(X[i], lower(n.pred), vocab, amap, None)
             left[i] = index[id(n.child)]
         elif isinstance(n, Join):
-            _encode_constraint(
-                X[i], n.pred.to_constraint(), vocab, amap, n.jointype
-            )
+            _encode_constraint(X[i], lower(n.pred), vocab, amap, n.jointype)
             left[i] = index[id(n.left)]
             right[i] = index[id(n.right)]
         elif isinstance(n, Project):

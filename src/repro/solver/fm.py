@@ -153,7 +153,11 @@ def satisfiable(constraints: Sequence[Constraint]) -> bool:
 
 
 def implies(premises: Sequence[Constraint], conclusion: Constraint) -> bool:
-    """``premises ⟹ conclusion`` iff premises ∧ ¬conclusion is unsat."""
+    """``premises ⟹ conclusion`` iff premises ∧ ¬conclusion is unsat. A
+    conclusion that is one of the premises is implied with no FM run (so
+    also when the premises hold more disequalities than FM splits)."""
+    if conclusion in premises:
+        return True
     return not satisfiable(list(premises) + [conclusion.negate()])
 
 

@@ -19,15 +19,23 @@ not complete (like the paper's AV, §2.1): exotic equivalences with no
 alias bijection are reported non-equivalent.
 
 Cost: exponential in alias-group sizes and in FM variable count —
-mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. ``Verifier``
-counts solver invocations so experiments can report work done.
+mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. Flattening is
+per plan: inside :meth:`Verifier.prepared` each plan is flattened at
+most once, however many pairs it is in, from predicates lowered once
+for the whole call (:func:`repro.core.plan.lowering`). Everything else
+is per pair: the table and arity checks, each plan's satisfiability,
+the bijection search and the implication checks. An implication whose
+conclusion is one of its premises costs no FM run
+(:func:`repro.solver.fm.implies`). ``Verifier`` counts solver
+invocations, those included, so experiments can report work done.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.core.plan import Plan
+from repro.core.plan import Lower, Plan, lower_each
 from repro.solver.fm import implies, satisfiable
 from repro.solver.linexpr import Constraint, LinExpr
 from repro.verifier.canonical import FlatSPJ, flatten
@@ -41,16 +49,39 @@ class Verifier:
 
     pairs_checked: int = 0
     solver_calls: int = 0
+    # inside ``prepared``: (plan id → (plan, flat form or None), lowering)
+    _prep: tuple[dict, Lower] | None = field(default=None, init=False, repr=False)
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool:
         self.pairs_checked += 1
-        try:
-            f1, f2 = flatten(p1), flatten(p2)
-        except ValueError:
+        f1, f2 = self._flat(p1), self._flat(p2)
+        if f1 is None or f2 is None:
             return False
         return self._equivalent_flat(f1, f2)
 
+    @contextlib.contextmanager
+    def prepared(self, lower: Lower):
+        """Within the block, flatten each plan at most once (by identity),
+        lowering its predicates through ``lower``; the flat forms are
+        dropped on exit."""
+        self._prep = ({}, lower)
+        try:
+            yield
+        finally:
+            self._prep = None
+
     # -- internals ----------------------------------------------------
+    def _flat(self, plan: Plan) -> FlatSPJ | None:
+        """``plan``'s flat form; None outside the verifier's fragment
+        (non-inner joins, no root Project)."""
+        memo, lower = self._prep or ({}, lower_each)
+        if id(plan) not in memo:
+            try:
+                memo[id(plan)] = (plan, flatten(plan, lower))
+            except ValueError:
+                memo[id(plan)] = (plan, None)
+        return memo[id(plan)][1]
+
     def _equivalent_flat(self, f1: FlatSPJ, f2: FlatSPJ) -> bool:
         t1 = sorted(t for _, t in f1.aliases)
         t2 = sorted(t for _, t in f2.aliases)

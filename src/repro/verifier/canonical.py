@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.plan import Join, Plan, alias_map, bfs, output_columns, predicates
+from repro.core.plan import (
+    Join,
+    Lower,
+    Plan,
+    alias_map,
+    bfs,
+    lower_each,
+    output_columns,
+    predicates,
+)
 from repro.solver.linexpr import Constraint
 
 
@@ -23,11 +32,12 @@ class FlatSPJ:
     projection: tuple[str, ...]  # positional column keys "alias.column"
 
 
-def flatten(plan: Plan) -> FlatSPJ:
-    """Flatten an inner-join SPJ plan with a root Project."""
+def flatten(plan: Plan, lower: Lower = lower_each) -> FlatSPJ:
+    """Flatten an inner-join SPJ plan with a root Project; each predicate
+    is lowered through ``lower``."""
     if any(isinstance(n, Join) and n.jointype != "inner" for n in bfs(plan)):
         raise ValueError("verifier handles inner joins only")
-    constraints = {p.to_constraint() for p in predicates(plan)}
+    constraints = {lower(p) for p in predicates(plan)}
     return FlatSPJ(
         tuple(sorted(alias_map(plan).items())),
         tuple(sorted(constraints, key=repr)),

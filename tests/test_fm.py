@@ -4,10 +4,11 @@ Includes a randomized differential test against float sampling: if a
 random point satisfies a system, the solver must agree it is sat.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.solver.fm import equivalent_sets, implies, satisfiable
-from repro.solver.linexpr import Constraint, LinExpr
+from repro.solver.fm import SolverError, equivalent_sets, implies, satisfiable
+from repro.solver.linexpr import OPS, Constraint, LinExpr
 
 
 def C(coeffs, op, const=0):
@@ -163,3 +164,36 @@ def test_implication_reflexive(cs):
 @given(_sys)
 def test_equivalence_reflexive_and_order_free(cs):
     assert equivalent_sets(cs, list(reversed(cs)))
+
+
+_any_sys = st.lists(
+    st.builds(
+        lambda a, b, k, op: C({"x": a, "y": b}, op, k),
+        _coef, _coef, _coef, st.sampled_from(OPS),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_any_sys, st.data())
+def test_implies_is_unsat_negation(cs, data):
+    """``implies`` agrees with FM on ``premises ∧ ¬c``, also when ``c``
+    is one of the premises and FM does not run, or a premise's
+    expression under another operator."""
+    c = data.draw(st.one_of(
+        st.sampled_from(cs),
+        st.builds(lambda p, op: Constraint(p.expr, op), st.sampled_from(cs), st.sampled_from(OPS)),
+        _any_sys.map(lambda s: s[0]),
+    ))
+    assert implies(cs, c) == (not satisfiable(cs + [c.negate()]))
+
+
+def test_premise_conclusion_needs_no_disequality_split():
+    """A conclusion among the premises is implied even where FM would
+    have to split more disequalities than it may."""
+    cs = [C({"x": 1}, ">")] + [C({f"y{k}": 1}, "!=") for k in range(13)]
+    with pytest.raises(SolverError):
+        satisfiable(cs + [cs[0].negate()])
+    assert implies(cs, cs[0])

@@ -1,17 +1,20 @@
 """End-to-end GEqO cascade tests (Equation 1/2 semantics)."""
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import pipeline
 from repro.core.pipeline import cascade_group, geqo_set_local, geqo_set_spark
+from repro.core.plan import Comparison, predicates
 from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import encode_tree
 from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import calibrate_tau
 from repro.solver.fm import SolverError
 from repro.verifier.av import Verifier
+from repro.verifier.canonical import flatten
 from repro.workload.generator import random_plans
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE
@@ -166,6 +169,77 @@ def test_each_plan_is_encoded_once_per_group(emf_model, tau, workload, monkeypat
     multi = [id(p) for g in _multi_groups(workload.plans) for p in g]
     assert sorted(map(id, canon)) == sorted(multi)
     assert len(encoded) == len(multi)
+
+
+class _RecordingVerifier(Verifier):
+    """Records each checked pair of plans with its verdict."""
+
+    def __init__(self):
+        super().__init__()
+        self.checked = []
+
+    def equivalent(self, p1, p2):
+        verdict = super().equivalent(p1, p2)
+        self.checked.append((p1, p2, verdict))
+        return verdict
+
+
+def test_each_predicate_is_lowered_and_each_plan_flattened_once_per_call(
+    emf_model, tau, workload, monkeypatch
+):
+    """One call lowers each predicate object at most once, for the
+    canonical order, the encoder and the AV alike, and flattens each plan
+    that reaches the AV once; the next call prepares its plans again."""
+    real, lowered = Comparison.to_constraint, []
+
+    def counted(pred):
+        lowered.append(pred)
+        return real(pred)
+
+    monkeypatch.setattr(Comparison, "to_constraint", counted)
+    flattened = _count_calls(monkeypatch, flatten)
+    preds = {id(q) for p in workload.plans for q in predicates(p)}
+    for filters in (pipeline.CASCADE, ()):
+        verifier = _RecordingVerifier()
+        for call in (1, 2):
+            lowered.clear()
+            res = geqo_set_local(workload.plans, emf_model if filters else None,
+                                 filters=filters, tau=tau, verifier=verifier)
+            ids = [id(q) for q in lowered]
+            assert ids and len(ids) == len(set(ids)) and set(ids) <= preds
+            av_plans = {id(p) for p1, p2, _ in verifier.checked for p in (p1, p2)}
+            assert av_plans
+            assert Counter(map(id, flattened)) == dict.fromkeys(av_plans, call)
+            assert len(verifier.checked) == res.av_pairs_checked * call
+        flattened.clear()
+
+
+def test_av_verdicts_match_fresh_verifier(emf_model, tau, workload):
+    """The cascade's AV verdicts and verify-all's pairs, solver calls and
+    unknowns equal a fresh ``Verifier`` per pair, which flattens both
+    plans from scratch: a mis-indexed flat form would prove a wrong pair."""
+    def fresh(p1, p2):
+        v = Verifier()
+        try:
+            return v.equivalent(p1, p2), v.solver_calls
+        except RuntimeError:
+            return None, v.solver_calls
+
+    cascade = _RecordingVerifier()
+    geqo_set_local(workload.plans, emf_model, tau=tau, verifier=cascade)
+    assert cascade.checked
+    assert [v for *_, v in cascade.checked] == [fresh(p1, p2)[0] for p1, p2, _ in cascade.checked]
+
+    verifier = Verifier()
+    res = geqo_set_local(workload.plans, None, filters=(), verifier=verifier)
+    plans = workload.plans
+    verdicts = {
+        (i, j): fresh(plans[i], plans[j])
+        for i in range(len(plans)) for j in range(i + 1, len(plans))
+    }
+    assert res.pairs == {ij for ij, (v, _) in verdicts.items() if v}
+    assert verifier.solver_calls == sum(n for _, n in verdicts.values())
+    assert res.av_unknown == sum(v is None for v, _ in verdicts.values())
 
 
 def test_spark_pipeline_without_pairs(spark, emf_model):
