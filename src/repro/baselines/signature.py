@@ -1,10 +1,12 @@
 """Signature-based equivalence detection — the CloudViews/[32] baseline.
 
-Computes a Merkle-style hash over the subexpression's *surface* AST
-with only cheap normalizations: canonical alias renaming (aliases are
-numbered per sorted base-table), unordered treatment of the flattened
-scan set, and sorted surface-predicate strings. Two subexpressions are
-declared equivalent iff their signatures collide.
+Computes a Merkle-style hash over the subexpression's *surface* AST,
+read off :func:`repro.core.plan.decompose`, with only cheap
+normalizations: canonical alias renaming (aliases are numbered per
+sorted base-table), unordered treatment of the flattened scan set, and
+sorted surface-predicate strings. Two subexpressions are declared
+equivalent iff their signatures collide; a plan outside the SPJ
+fragment has no signature.
 
 Deliberately syntactic: it catches structural shuffles (join order,
 filter order) but not comparison algebra (``a > b+10`` vs ``b+10 < a``)
@@ -17,18 +19,7 @@ import hashlib
 import itertools
 from collections.abc import Iterable
 
-from repro.core.plan import (
-    Col,
-    Comparison,
-    Const,
-    Expr,
-    Filter,
-    Join,
-    Plan,
-    alias_map,
-    bfs,
-    output_columns,
-)
+from repro.core.plan import Col, Comparison, Const, Expr, Plan, decompose
 
 
 def canonical_alias_names(aliases: Iterable[tuple[str, str]]) -> dict[str, str]:
@@ -52,19 +43,14 @@ def _pred_str(p: Comparison, names: dict[str, str]) -> str:
 
 
 def signature(plan: Plan) -> str:
-    """Surface-form signature of an SPJ subexpression."""
-    amap = alias_map(plan)
+    """Surface-form signature of an SPJ subexpression; ``ValueError``
+    outside the fragment."""
+    amap, jps, fps, proj = decompose(plan)
     names = canonical_alias_names(amap.items())
     scans = sorted(f"{t}:{names[a]}" for a, t in amap.items())
-    preds = sorted(
-        _pred_str(n.pred, names)
-        for n in bfs(plan)
-        if isinstance(n, (Filter, Join))
-    )
-    proj = [
-        f"{names[c.alias]}.{c.column}" for c in output_columns(plan)
-    ]
-    payload = "|".join(scans) + "||" + "|".join(preds) + "||" + ",".join(proj)
+    preds = sorted(_pred_str(p, names) for p in jps + fps)
+    cols = [f"{names[c.alias]}.{c.column}" for c in proj]
+    payload = "|".join(scans) + "||" + "|".join(preds) + "||" + ",".join(cols)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -73,10 +59,15 @@ def signature_equivalent(p1: Plan, p2: Plan) -> bool:
 
 
 def signature_set(plans: list[Plan]) -> set[tuple[int, int]]:
-    """All signature-collision pairs in a workload (hash-bucketed, O(n))."""
+    """All signature-collision pairs in a workload (hash-bucketed, O(n));
+    plans outside the SPJ fragment are skipped."""
     buckets: dict[str, list[int]] = {}
     for i, p in enumerate(plans):
-        buckets.setdefault(signature(p), []).append(i)
+        try:
+            sig = signature(p)
+        except ValueError:
+            continue
+        buckets.setdefault(sig, []).append(i)
     return {
         pair
         for idxs in buckets.values()

@@ -1,8 +1,10 @@
-"""SPJ logical plan IR.
+"""SPJ logical plan IR, and the one SPJ form.
 
 GEqO operates on logical plans of select-project-join subexpressions
 with conjunctive predicates (§1, §3). This module is the repo's plan
-representation — the role Calcite ASTs play in the paper.
+representation — the role Calcite ASTs play in the paper. It owns the
+SPJ form: :func:`decompose` defines the fragment and is the one reader
+that takes an SPJ plan apart, :func:`compose` the one builder.
 
 Design points:
 
@@ -15,6 +17,8 @@ Design points:
   syntactically different but semantically identical.
 - **Single-clause predicates.** Per §3.1, conjunctions are split so each
   ``Filter``/``Join`` node carries at most one comparison.
+- **Non-inner joins are representable, not SPJ.** :func:`decompose`
+  refuses them, so nothing rebuilds a left join as an inner one.
 - **Executable subtrees.** Every subtree can be rendered to SQL
   (:mod:`repro.core.sqlgen`) and run on DuckDB or Spark, which is how
   the oracle and the randomized model checker validate the verifier.
@@ -274,15 +278,14 @@ def predicates(plan: Plan) -> tuple[Comparison, ...]:
 
 
 def output_columns(plan: Plan) -> tuple[Col, ...]:
-    """Positional output columns of a subtree.
+    """Positional output columns of a subtree: those of its topmost
+    Project, a Join concatenating both sides.
 
-    A bare (projection-less) subtree outputs every column of its scans
-    in alias order; this keeps arbitrary subtrees executable, matching
-    the paper's "subexpressions are unambiguously executable" (§2.1).
-    The concrete set of columns per table comes from the schema at SQL
-    generation time, so here a bare subtree is summarized by ``None``
-    sentinel-free logic in callers; plans used in experiments always
-    have a root Project.
+    Without a Project above a scan, the columns would be every column
+    of that table, which only the schema knows, so this raises; wrap
+    such a subtree with :func:`repro.core.subexpr.as_executable` to
+    keep it executable (§2.1). Plans used in experiments always have a
+    root Project.
     """
     if isinstance(plan, Project):
         return plan.cols
@@ -324,6 +327,85 @@ def rename_aliases(plan: Plan, mapping: Mapping[str, str]) -> Plan:
         tuple(Col(mapping.get(c.alias, c.alias), c.column) for c in plan.cols),
         rename_aliases(plan.child, mapping),
     )
+
+
+# --------------------------------------------------------------------------
+# The SPJ form: one reader (decompose) and one builder (compose)
+# --------------------------------------------------------------------------
+
+
+def decompose(plan: Plan):
+    """(alias→table, join preds, filter preds, projection), each in BFS
+    order, of an SPJ plan: a root ``Project`` over scans, filters and
+    inner joins. Any other plan raises ``ValueError``."""
+    if not isinstance(plan, Project):
+        raise ValueError("expected root Project")
+    aliases: dict[str, str] = {}
+    join_preds: list[Comparison] = []
+    filter_preds: list[Comparison] = []
+    for n in bfs(plan):
+        if isinstance(n, Scan):
+            aliases[n.alias] = n.table
+        elif isinstance(n, Join):
+            if n.jointype != "inner":
+                raise ValueError(f"{n.jointype} join is outside the SPJ fragment")
+            join_preds.append(n.pred)
+        elif isinstance(n, Filter):
+            filter_preds.append(n.pred)
+    return aliases, join_preds, filter_preds, plan.cols
+
+
+def compose(
+    aliases: dict[str, str],
+    join_preds: list[Comparison],
+    filter_preds: list[Comparison],
+    proj: tuple[Col, ...],
+    *,
+    order: list[str] | None = None,
+) -> Plan:
+    """Build a left-deep SPJ plan; ``order`` is the preferred join
+    order. Filters stack in list order over any join predicates left
+    over; ``ValueError`` if the join graph is disconnected."""
+    order = order or list(aliases)
+    remaining = list(order)
+    first = remaining.pop(0)
+    plan: Plan = Scan(aliases[first], first)
+    joined = {first}
+    pending = list(join_preds)
+    while remaining:
+        attached = False
+        for cand in list(remaining):
+            for i, jp in enumerate(pending):
+                refs = {c.alias for c in jp.columns}
+                if cand in refs and refs - {cand} <= joined:
+                    plan = Join(plan, Scan(aliases[cand], cand), jp)
+                    joined.add(cand)
+                    remaining.remove(cand)
+                    pending.pop(i)
+                    attached = True
+                    break
+            if attached:
+                break
+        if not attached:
+            raise ValueError("join graph disconnected under this order")
+    for fp in pending:  # join preds that became redundant orderings
+        plan = Filter(fp, plan)
+    for fp in filter_preds:
+        plan = Filter(fp, plan)
+    return Project(proj, plan)
+
+
+def map_nodes(plan: Plan, fn: Callable[[Plan], Plan]) -> Plan:
+    """Bottom-up structural map; ``fn`` may replace any node."""
+    if isinstance(plan, Scan):
+        return fn(plan)
+    if isinstance(plan, Filter):
+        return fn(Filter(plan.pred, map_nodes(plan.child, fn)))
+    if isinstance(plan, Join):
+        return fn(
+            Join(map_nodes(plan.left, fn), map_nodes(plan.right, fn), plan.pred, plan.jointype)
+        )
+    return fn(Project(plan.cols, map_nodes(plan.child, fn)))
 
 
 # --------------------------------------------------------------------------

@@ -1,26 +1,17 @@
 """Render SPJ plans to SQL (DuckDB and Spark SQL share this dialect).
 
-Inner joins and filters commute, so a plan renders to a flat
-``SELECT … FROM … WHERE …``; surface differences live in the IR, not in
-the generated SQL. Output columns are aliased positionally (``p0…pk``)
-so result equality between two plans is well-defined regardless of
-source column names — this matches the paper's semantics
-``q_i(d) = q_j(d)`` (§2.1).
+Inner joins and filters commute, so an SPJ plan renders to a flat
+``SELECT … FROM … WHERE …``: ``FROM`` and ``SELECT`` come from
+:func:`repro.core.plan.decompose`, which refuses any plan outside the
+fragment, and ``WHERE`` lists the predicates in BFS order. Surface
+differences live in the IR, not in the generated SQL. Output columns
+are aliased positionally (``p0…pk``) so result equality between two
+plans is well-defined regardless of source column names — this matches
+the paper's semantics ``q_i(d) = q_j(d)`` (§2.1).
 """
 from __future__ import annotations
 
-from repro.core.plan import (
-    Col,
-    Comparison,
-    Const,
-    Expr,
-    Plan,
-    Project,
-    bfs,
-    output_columns,
-    predicates,
-    scans,
-)
+from repro.core.plan import Col, Comparison, Const, Expr, Plan, decompose, predicates
 
 _SQL_OP = {"=": "=", "!=": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
@@ -39,19 +30,12 @@ def comparison_to_sql(c: Comparison) -> str:
 
 
 def to_sql(plan: Plan) -> str:
-    """Flat SQL for an (inner-join-only) SPJ plan with a root Project."""
-    for n in bfs(plan):
-        if getattr(n, "jointype", "inner") != "inner":
-            raise ValueError("only inner joins render to flat SQL")
-    if not isinstance(plan, Project):
-        raise ValueError("experiment plans must have a root Project")
-    proj = ", ".join(
-        f"{c.alias}.{c.column} AS p{i}" for i, c in enumerate(output_columns(plan))
-    )
-    frm = ", ".join(f"{s.table} AS {s.alias}" for s in scans(plan))
-    preds = predicates(plan)
-    where = " AND ".join(comparison_to_sql(p) for p in preds)
-    sql = f"SELECT {proj} FROM {frm}"
+    """Flat SQL for an SPJ plan; ``ValueError`` outside the fragment."""
+    aliases, _, _, proj = decompose(plan)
+    select = ", ".join(f"{c.alias}.{c.column} AS p{i}" for i, c in enumerate(proj))
+    frm = ", ".join(f"{table} AS {alias}" for alias, table in aliases.items())
+    where = " AND ".join(comparison_to_sql(p) for p in predicates(plan))
+    sql = f"SELECT {select} FROM {frm}"
     if where:
         sql += f" WHERE {where}"
     return sql

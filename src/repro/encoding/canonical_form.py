@@ -16,17 +16,16 @@ still encode differently.
 """
 from __future__ import annotations
 
-from repro.core.plan import Lower, Plan, Project, lower_each
-from repro.workload.rewrites import compose, decompose
+from repro.core.plan import Lower, Plan, compose, decompose, lower_each
 
 
 def canonical_plan(plan: Plan, lower: Lower = lower_each) -> Plan:
-    """Deterministic structural normal form (best-effort: returns the
-    plan unchanged if it is not a root-Project SPJ or the join graph
-    cannot be rebuilt). Predicates are lowered through ``lower`` for
-    their sort key, and the result holds the same predicate objects."""
-    if not isinstance(plan, Project):
-        return plan
+    """Deterministic structural normal form, rebuilt with
+    :func:`~repro.core.plan.compose`. A plan outside the SPJ fragment (a
+    non-inner join included, so its join type reaches the encoding) or
+    whose join graph cannot be rebuilt is returned as written.
+    Predicates are lowered through ``lower`` for their sort key, and
+    the result holds the same predicate objects."""
     try:
         aliases, jps, fps, proj = decompose(plan)
         return compose(

@@ -62,7 +62,6 @@ class Table1Result:
     n_equiv: int = 0
     epsilon: float = 0.0  # extra AV verifications vs oracle, / |E|
     speedup_vs_av: float = 0.0
-    geqo_found: int = 0
 
     def markdown(self) -> str:
         out = [
@@ -200,7 +199,6 @@ def run(
         FilterRow("GEqO", t_geqo, tpr, tnr,
                   f"{geqo.av_pairs_checked} verifications")
     )
-    res.geqo_found = len(geqo.pairs)
     res.epsilon = (
         (geqo.av_pairs_checked - len(truth)) / len(truth) if truth else 0.0
     )

@@ -19,20 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.encoding.agnostic import PAIR_BATCH, InstanceGroup, pair_batches
+from repro.encoding.agnostic import InstanceGroup, pair_batches
 # the benchmark's tracer looks encode_pair_agnostic up here until ROADMAP item 5 step A
 from repro.encoding.agnostic import encode_pair_agnostic  # noqa: F401
 from repro.nn.model import EMF
 
 EMF_THRESHOLD = 0.2
-EMF_BATCH = PAIR_BATCH  # pairs scored per predict_proba call
 
 
 def emf_scores(
     model: EMF, pairs: list[tuple[int, int]], group: InstanceGroup
 ) -> tuple[np.ndarray, int]:
     """Equivalence probabilities for index pairs into ``group``, in
-    batches of :data:`EMF_BATCH` in-space pairs, and the number of
+    batches of :data:`~repro.encoding.agnostic.PAIR_BATCH` in-space pairs, and the number of
     out-of-space pairs among them (each scored 1.0)."""
     out = np.ones(len(pairs))
     scored = 0

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.agnostic import encode_pair_agnostic
+from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic
 from repro.encoding.instance import Packed, TreeEnc, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
 
 log = logging.getLogger(__name__)
-
-PREDICT_BATCH = 256
 
 
 # --------------------------------------------------------------------------
@@ -190,8 +188,8 @@ def train_emf(
 
 def predict(model: EMF, data: PairTensors) -> np.ndarray:
     out = []
-    for s in range(0, len(data), PREDICT_BATCH):
-        idx = np.arange(s, min(s + PREDICT_BATCH, len(data)))
+    for s in range(0, len(data), PAIR_BATCH):
+        idx = np.arange(s, min(s + PAIR_BATCH, len(data)))
         b = data.subset(idx)
         out.append(model.predict_proba(pack_padded(*b.a), pack_padded(*b.b)))
     return np.concatenate(out) if out else np.array([])

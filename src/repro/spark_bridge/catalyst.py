@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from repro.core.plan import BinOp, Col, Comparison, Const, Expr, Plan
-from repro.workload.rewrites import compose
+from repro.core.plan import BinOp, Col, Comparison, Const, Expr, Plan, compose
 
 
 class UnsupportedPlan(ValueError):

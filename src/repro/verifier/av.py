@@ -47,13 +47,11 @@ _MAX_BIJECTIONS = 20_000
 class Verifier:
     """Stateful AV with invocation counters (for cost accounting)."""
 
-    pairs_checked: int = 0
     solver_calls: int = 0
     # inside ``prepared``: (plan id → (plan, flat form or None), lowering)
     _prep: tuple[dict, Lower] | None = field(default=None, init=False, repr=False)
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool:
-        self.pairs_checked += 1
         f1, f2 = self._flat(p1), self._flat(p2)
         if f1 is None or f2 is None:
             return False

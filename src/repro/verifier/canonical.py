@@ -2,24 +2,16 @@
 
 Inner joins and selections commute freely, so an SPJ plan is fully
 characterized by (alias → base table map, conjunction of constraints,
-positional projection). The verifier and the optimizer-rule baseline
-both work on this form; only the verifier adds implication reasoning
-on top of it.
+positional projection), read off :func:`repro.core.plan.decompose`,
+which also refuses any plan outside that fragment. The verifier and the
+optimizer-rule baseline both work on this form; only the verifier adds
+implication reasoning on top of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.plan import (
-    Join,
-    Lower,
-    Plan,
-    alias_map,
-    bfs,
-    lower_each,
-    output_columns,
-    predicates,
-)
+from repro.core.plan import Lower, Plan, decompose, lower_each
 from repro.solver.linexpr import Constraint
 
 
@@ -33,13 +25,12 @@ class FlatSPJ:
 
 
 def flatten(plan: Plan, lower: Lower = lower_each) -> FlatSPJ:
-    """Flatten an inner-join SPJ plan with a root Project; each predicate
-    is lowered through ``lower``."""
-    if any(isinstance(n, Join) and n.jointype != "inner" for n in bfs(plan)):
-        raise ValueError("verifier handles inner joins only")
-    constraints = {lower(p) for p in predicates(plan)}
+    """Flatten an SPJ plan, lowering each predicate through ``lower``;
+    ``ValueError`` outside the fragment."""
+    aliases, jps, fps, proj = decompose(plan)
+    constraints = {lower(p) for p in jps + fps}
     return FlatSPJ(
-        tuple(sorted(alias_map(plan).items())),
+        tuple(sorted(aliases.items())),
         tuple(sorted(constraints, key=repr)),
-        tuple(c.key for c in output_columns(plan)),
+        tuple(c.key for c in proj),
     )

@@ -5,7 +5,9 @@ queries on a schema; WeTune-style rewrite rules then derive equivalent
 variants (:mod:`repro.workload.rewrites`). This fuzzer walks the schema
 join graph to pick 1–3 tables, adds equi-join predicates along edges,
 sprinkles selection predicates (column-vs-constant and
-column-vs-column±constant), and projects 1–4 referenced columns.
+column-vs-column±constant), and projects 1–4 referenced columns; the
+plan itself is built by :func:`repro.core.plan.compose`, left-deep in
+walk order with the selections stacked in draw order.
 
 All randomness flows through a caller-supplied ``numpy`` Generator, so
 workloads are reproducible from a seed.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.plan import BinOp, Col, Comparison, Const, Filter, Join, Plan, Project, Scan
+from repro.core.plan import BinOp, Col, Comparison, Const, Plan, compose
 from repro.workload.schema import Schema
 
 _SEL_OPS = ["<", "<=", ">", ">=", "="]
@@ -62,28 +64,8 @@ def random_base_plan(
         join_preds.append(
             Comparison(Col(t, c_t), "=", Col(nb, c_nb))
         )
-    # Aliases equal table names (tables are distinct).
-    plan: Plan = Scan(chosen[0], chosen[0])
-    joined = {chosen[0]}
-    pending = list(join_preds)
-    while pending:
-        # attach the next table whose join pred touches the joined set
-        for i, jp in enumerate(pending):
-            a1, a2 = jp.lhs.alias, jp.rhs.alias
-            if a1 in joined and a2 not in joined:
-                new = a2
-            elif a2 in joined and a1 not in joined:
-                new = a1
-            else:
-                continue
-            plan = Join(plan, Scan(new, new), jp)
-            joined.add(new)
-            pending.pop(i)
-            break
-        else:  # pragma: no cover — unreachable with connected walks
-            raise AssertionError("disconnected join predicate")
-
     # --- selection predicates ---------------------------------------
+    sel_preds: list[Comparison] = []
     n_sel = int(g.integers(1, MAX_SELECTIONS + 1))
     for _ in range(n_sel):
         t = _pick(g, chosen)
@@ -95,10 +77,10 @@ def random_base_plan(
             col2 = Col(t2, _pick(g, schema.table(t2).columns))
             off = int(g.integers(-15, 16))
             rhs = BinOp("+", col2, Const(float(off))) if off else col2
-            plan = Filter(Comparison(col, op, rhs), plan)
+            sel_preds.append(Comparison(col, op, rhs))
         else:
             v = float(int(g.integers(-20, 51)))
-            plan = Filter(Comparison(col, op, Const(v)), plan)
+            sel_preds.append(Comparison(col, op, Const(v)))
 
     # --- projection ---------------------------------------------------
     n_proj = int(g.integers(1, max_proj + 1))
@@ -106,7 +88,8 @@ def random_base_plan(
     for _ in range(n_proj):
         t = _pick(g, chosen)
         cols.append(Col(t, _pick(g, schema.table(t).columns)))
-    return Project(tuple(cols), plan)
+    # Aliases equal table names (tables are distinct).
+    return compose({t: t for t in chosen}, join_preds, sel_preds, tuple(cols))
 
 
 def random_plans(schema: Schema, n: int, *, seed: int = 0, **kw) -> list[Plan]:

@@ -26,13 +26,14 @@ from repro.core.plan import (
     Filter,
     Plan,
     Project,
+    map_nodes,
     to_json,
 )
 from repro.filters.schema_filter import sf_key
 from repro.solver.fm import SolverError, satisfiable
 from repro.verifier.canonical import flatten
 from repro.workload.generator import random_base_plan
-from repro.workload.rewrites import REWRITES, _map_nodes, equivalent_variant
+from repro.workload.rewrites import REWRITES, equivalent_variant
 from repro.workload.schema import Schema
 
 _OPS_CYCLE = {"<": "<=", "<=": ">", ">": ">=", ">=": "<", "=": ">", "!=": "="}
@@ -57,38 +58,38 @@ def plan_satisfiable(plan: Plan) -> bool:
         return True
 
 
+def _replace_first_filter(plan: Plan, fn) -> Plan | None:
+    """``plan`` with its first Filter, bottom-up, for which ``fn(pred)``
+    returns a predicate rebuilt on that; None if there is none."""
+    done = False
+
+    def visit(n: Plan) -> Plan:
+        nonlocal done
+        new = None if done or not isinstance(n, Filter) else fn(n.pred)
+        if new is None:
+            return n
+        done = True
+        return Filter(new, n.child)
+
+    out = map_nodes(plan, visit)
+    return out if done else None
+
+
 def perturb(plan: Plan, g: np.random.Generator) -> Plan:
     """A near-miss mutation: same SF-group, almost surely non-equivalent."""
-    choice = int(g.integers(0, 3))
-    if choice == 0:  # bump one constant
-        bumped = {"done": False}
 
-        def bump(n):
-            if bumped["done"] or not isinstance(n, Filter):
-                return n
-            p = n.pred
-            if isinstance(p.rhs, Const):
-                bumped["done"] = True
-                delta = float(int(g.integers(1, 20)))
-                return Filter(Comparison(p.lhs, p.op, Const(p.rhs.value + delta)), n.child)
-            return n
+    def bump_const(p: Comparison) -> Comparison | None:
+        if not isinstance(p.rhs, Const):
+            return None
+        return Comparison(p.lhs, p.op, Const(p.rhs.value + float(int(g.integers(1, 20)))))
 
-        out = _map_nodes(plan, bump)
-        if bumped["done"]:
-            return out
-        choice = 1
-    if choice == 1:  # mutate one comparison operator
-        flipped = {"done": False}
+    def cycle_op(p: Comparison) -> Comparison:
+        return Comparison(p.lhs, _OPS_CYCLE[p.op], p.rhs)
 
-        def flip(n):
-            if flipped["done"] or not isinstance(n, Filter):
-                return n
-            flipped["done"] = True
-            p = n.pred
-            return Filter(Comparison(p.lhs, _OPS_CYCLE[p.op], p.rhs), n.child)
-
-        out = _map_nodes(plan, flip)
-        if flipped["done"]:
+    # draw 0 tries both mutations in turn, 1 only the operator, 2 neither
+    for mutate in (bump_const, cycle_op)[int(g.integers(0, 3)):]:
+        out = _replace_first_filter(plan, mutate)
+        if out is not None:
             return out
     # swap/replace a projection column (arity preserved)
     assert isinstance(plan, Project)

@@ -17,13 +17,18 @@ Families, by which detector first catches them:
   these change the canonical constraint *set* and need implication
   reasoning.
 
-Every rule is sound by construction and additionally guarded by a
-Fourier–Motzkin implication check where applicable; tests cross-validate
-all of them against the randomized DuckDB model checker.
+Every rule is sound by construction on the SPJ fragment and
+additionally guarded by a Fourier–Motzkin implication check where
+applicable; tests cross-validate all of them against the randomized
+DuckDB model checker. This module holds the rules only, which take
+plans apart and rebuild them with :func:`repro.core.plan.decompose` and
+:func:`~repro.core.plan.compose`; one check shared by every rule in
+:data:`REWRITES` declines a plan outside the fragment.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -37,74 +42,18 @@ from repro.core.plan import (
     Join,
     Plan,
     Project,
-    Scan,
     bfs,
+    compose,
+    decompose,
+    map_nodes,
     predicates,
 )
 from repro.solver.fm import implies
 from repro.solver.linexpr import Constraint, LinExpr
 
+Rule = Callable[[Plan, np.random.Generator], Plan | None]
+
 _FLIP = {"<": ">", "<=": ">=", "=": "=", "!=": "!=", ">=": "<=", ">": "<"}
-
-
-# --------------------------------------------------------------------------
-# Decompose / compose
-# --------------------------------------------------------------------------
-
-
-def decompose(plan: Plan):
-    """(alias→table, join preds, filter preds, projection) of an SPJ plan."""
-    if not isinstance(plan, Project):
-        raise ValueError("expected root Project")
-    aliases: dict[str, str] = {}
-    join_preds: list[Comparison] = []
-    filter_preds: list[Comparison] = []
-    for n in bfs(plan):
-        if isinstance(n, Scan):
-            aliases[n.alias] = n.table
-        elif isinstance(n, Join):
-            join_preds.append(n.pred)
-        elif isinstance(n, Filter):
-            filter_preds.append(n.pred)
-    return aliases, join_preds, filter_preds, plan.cols
-
-
-def compose(
-    aliases: dict[str, str],
-    join_preds: list[Comparison],
-    filter_preds: list[Comparison],
-    proj: tuple[Col, ...],
-    *,
-    order: list[str] | None = None,
-) -> Plan:
-    """Rebuild a left-deep plan; ``order`` is the preferred join order."""
-    order = order or list(aliases)
-    remaining = list(order)
-    first = remaining.pop(0)
-    plan: Plan = Scan(aliases[first], first)
-    joined = {first}
-    pending = list(join_preds)
-    while remaining:
-        attached = False
-        for cand in list(remaining):
-            for i, jp in enumerate(pending):
-                refs = {c.alias for c in jp.columns}
-                if cand in refs and refs - {cand} <= joined:
-                    plan = Join(plan, Scan(aliases[cand], cand), jp)
-                    joined.add(cand)
-                    remaining.remove(cand)
-                    pending.pop(i)
-                    attached = True
-                    break
-            if attached:
-                break
-        if not attached:
-            raise ValueError("join graph disconnected under this order")
-    for fp in pending:  # join preds that became redundant orderings
-        plan = Filter(fp, plan)
-    for fp in filter_preds:
-        plan = Filter(fp, plan)
-    return Project(proj, plan)
 
 
 def lin_to_expr(e: LinExpr) -> Expr:
@@ -128,19 +77,6 @@ def lin_to_expr(e: LinExpr) -> Expr:
 # --------------------------------------------------------------------------
 
 
-def _map_nodes(plan: Plan, fn) -> Plan:
-    """Bottom-up structural map; ``fn`` may replace any node."""
-    if isinstance(plan, Scan):
-        return fn(plan)
-    if isinstance(plan, Filter):
-        return fn(Filter(plan.pred, _map_nodes(plan.child, fn)))
-    if isinstance(plan, Join):
-        return fn(
-            Join(_map_nodes(plan.left, fn), _map_nodes(plan.right, fn), plan.pred, plan.jointype)
-        )
-    return fn(Project(plan.cols, _map_nodes(plan.child, fn)))
-
-
 def rw_join_commute(plan: Plan, g: np.random.Generator) -> Plan | None:
     joins = [n for n in bfs(plan) if isinstance(n, Join)]
     if not joins:
@@ -152,7 +88,7 @@ def rw_join_commute(plan: Plan, g: np.random.Generator) -> Plan | None:
             return Join(n.right, n.left, n.pred, n.jointype)
         return n
 
-    return _map_nodes(plan, swap)
+    return map_nodes(plan, swap)
 
 
 def rw_join_reorder(plan: Plan, g: np.random.Generator) -> Plan | None:
@@ -198,7 +134,7 @@ def _rewrite_one_pred(plan: Plan, g: np.random.Generator, fn) -> Plan | None:
                 return Join(n.left, n.right, new, n.jointype)
             return n
 
-        return _map_nodes(plan, sub)
+        return map_nodes(plan, sub)
     return None
 
 
@@ -293,8 +229,6 @@ def rw_add_implied(plan: Plan, g: np.random.Generator) -> Plan | None:
         if cand.truth() is not None or not implies(cs, cand):
             continue
         pred = Comparison(lin_to_expr(cand.expr), cand.op, Const(0.0))
-        if not isinstance(plan, Project):
-            return None
         return Project(plan.cols, Filter(pred, plan.child))
     return None
 
@@ -350,17 +284,36 @@ SYNTACTIC = ("join_commute", "join_reorder", "reorder_filters")
 NORMALIZATION = ("flip_comparison", "arith_shift", "const_unfold", "scale")
 IMPLICATION = ("add_implied", "remove_redundant", "eq_substitute")
 
-REWRITES = {
-    "join_commute": rw_join_commute,
-    "join_reorder": rw_join_reorder,
-    "reorder_filters": rw_reorder_filters,
-    "flip_comparison": rw_flip_comparison,
-    "arith_shift": rw_arith_shift,
-    "const_unfold": rw_const_unfold,
-    "scale": rw_scale,
-    "add_implied": rw_add_implied,
-    "remove_redundant": rw_remove_redundant,
-    "eq_substitute": rw_eq_substitute,
+
+def _spj_only(rule: Rule) -> Rule:
+    """``rule`` on the SPJ fragment; None for any plan ``decompose``
+    refuses, so no rule rebuilds a non-inner join as inner or reasons
+    over its predicates as filters."""
+
+    def guarded(plan: Plan, g: np.random.Generator) -> Plan | None:
+        try:
+            decompose(plan)
+        except ValueError:
+            return None
+        return rule(plan, g)
+
+    return guarded
+
+
+REWRITES: dict[str, Rule] = {
+    name: _spj_only(rule)
+    for name, rule in {
+        "join_commute": rw_join_commute,
+        "join_reorder": rw_join_reorder,
+        "reorder_filters": rw_reorder_filters,
+        "flip_comparison": rw_flip_comparison,
+        "arith_shift": rw_arith_shift,
+        "const_unfold": rw_const_unfold,
+        "scale": rw_scale,
+        "add_implied": rw_add_implied,
+        "remove_redundant": rw_remove_redundant,
+        "eq_substitute": rw_eq_substitute,
+    }.items()
 }
 
 

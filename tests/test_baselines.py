@@ -101,3 +101,11 @@ def test_set_variants_match_pairwise():
             assert ((i, j) in opt_pairs) == optimizer_equivalent(plans[i], plans[j])
     # ladder: signature ⊆ optimizer
     assert sig_pairs <= opt_pairs
+
+
+def test_sets_skip_plans_outside_the_fragment():
+    """A left join and its inner twin are not one query: neither
+    baseline pairs them."""
+    plans = [fig1_q1("left"), fig1_q1()]
+    assert signature_set(plans) == set()
+    assert optimizer_set(plans) == set()

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
-from repro.encoding.agnostic import encode_pair_agnostic, instance_group
+from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic, instance_group
 from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import pack_encs
 from repro.filters import vmf as vmf_module
-from repro.filters.emf_filter import EMF_BATCH, emf_scores
+from repro.filters.emf_filter import emf_scores
 from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
 from repro.filters.vmf import (
     calibrate_tau,
@@ -192,9 +192,9 @@ def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
         except ValueError:
             continue
         ks.append(k)
-    for s in range(0, len(ks), EMF_BATCH):
-        ea, eb = zip(*encs[s : s + EMF_BATCH])
-        out[ks[s : s + EMF_BATCH]] = model.predict_proba(pack_encs(ea), pack_encs(eb))
+    for s in range(0, len(ks), PAIR_BATCH):
+        ea, eb = zip(*encs[s : s + PAIR_BATCH])
+        out[ks[s : s + PAIR_BATCH]] = model.predict_proba(pack_encs(ea), pack_encs(eb))
     return out, len(plan_pairs) - len(ks)
 
 
@@ -208,7 +208,7 @@ def test_emf_scorers_agree(emf_model, workload):
     pairs += [(n, n + 1), (n + 2, n + 3)]  # out of space, then in space
     by_converter, passed = emf_scores(emf_model, pairs, instance_group(plans))
     reference, out = scratch_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
-    assert len(pairs) > EMF_BATCH  # more than one batch
+    assert len(pairs) > PAIR_BATCH  # more than one batch
     np.testing.assert_array_equal(by_converter, reference)
     assert by_converter[-2] == 1.0 and by_converter[-1] < 1.0
     assert passed == out == 1

@@ -1,9 +1,12 @@
-"""Every imported name in ``src/`` and ``tests/`` is used.
+"""Import hygiene, by AST scan.
 
-An AST scan: a name bound by ``import``/``from … import`` must be read
-somewhere in its module, as a name, the root of an attribute chain, an
-entry of ``__all__`` or inside a string annotation. An import line that
-carries ``# noqa: F401`` is exempt."""
+Every imported name in ``src/`` and ``tests/`` is used: a name bound by
+``import``/``from … import`` must be read somewhere in its module, as a
+name, the root of an attribute chain, an entry of ``__all__`` or inside
+a string annotation. An import line that carries ``# noqa: F401`` is
+exempt.
+
+The layers below the workload generator never import it."""
 import ast
 from pathlib import Path
 
@@ -70,3 +73,29 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+# The plan IR, the solver, the verifier, the encoders and the filters:
+# the fuzzer and the rewrites build on these, never the reverse.
+LOWER_LAYERS = ("core", "solver", "verifier", "encoding", "filters")
+
+
+def _imported_names(tree: ast.Module):
+    """(dotted name, line) of every absolute import; ``from a import b``
+    reads as ``a.b``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield from ((f"{node.module}.{a.name}", node.lineno) for a in node.names)
+
+
+def test_lower_layers_do_not_import_the_workload():
+    bad = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for layer in LOWER_LAYERS
+        for path in sorted((ROOT / "src" / "repro" / layer).rglob("*.py"))
+        for module, line in _imported_names(ast.parse(path.read_text()))
+        if module == "repro.workload" or module.startswith("repro.workload.")
+    ]
+    assert not bad, "lower layers import repro.workload:\n" + "\n".join(bad)

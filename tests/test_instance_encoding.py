@@ -1,7 +1,9 @@
 """Instance-based NV encoding tests (§4.1)."""
 import numpy as np
+import pytest
 
-from repro.core.plan import JOIN_TYPES, node_count
+from repro.core.plan import JOIN_TYPES, Join, bfs, node_count
+from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import Vocab, encode_tree, norm_const, schema_vocab
 from repro.solver.linexpr import OPS
 from repro.workload.generator import random_plans
@@ -59,6 +61,18 @@ def test_join_node_segments():
     assert cl[v.col_idx("A.joinKey")] == 1.0
     assert cr[v.col_idx("B.joinKey")] == 1.0
     assert row[v.off_join_op + OPS.index("=")] == 1.0
+
+
+@pytest.mark.parametrize("jointype", JOIN_TYPES)
+def test_canonical_encoding_keeps_the_join_type(jointype):
+    """A plan outside the SPJ fragment is encoded as written, so a left
+    or semi join keeps its own join-type slot."""
+    v = _ab_vocab()
+    plan = canonical_plan(fig1_q1(jointype))
+    enc = encode_tree(plan, v)
+    (i,) = [i for i, n in enumerate(bfs(plan)) if isinstance(n, Join)]
+    slots = enc.X[i, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)]
+    assert slots.tolist() == [float(t == jointype) for t in JOIN_TYPES]
 
 
 def test_single_column_filter_in_select_segment():

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from repro.encoding.agnostic import (
+    PAIR_BATCH,
     encode_group_agnostic,
     encode_pair_agnostic,
     instance_group,
 )
 from repro.encoding.canonical_form import canonical_plan
 from repro.experiments.table1 import planted_pool
-from repro.filters.emf_filter import EMF_BATCH, EMF_THRESHOLD, emf_scores
+from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import (
     TARGET_RECALL,
@@ -59,11 +60,11 @@ def padded_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
         except ValueError:
             continue
         ks.append(k)
-    for s in range(0, len(ks), EMF_BATCH):
-        ea, eb = zip(*encs[s : s + EMF_BATCH])
+    for s in range(0, len(ks), PAIR_BATCH):
+        ea, eb = zip(*encs[s : s + PAIR_BATCH])
         m = max(e.X.shape[0] for e in ea + eb)
         logits, _ = model.forward_pair(pad_encs(ea, m), pad_encs(eb, m), train=False)
-        out[ks[s : s + EMF_BATCH]] = 1.0 / (1.0 + np.exp(-logits))
+        out[ks[s : s + PAIR_BATCH]] = 1.0 / (1.0 + np.exp(-logits))
     return out, len(pairs) - len(ks)
 
 

@@ -17,6 +17,8 @@ from repro.core.plan import (
     alias_map,
     base_tables,
     bfs,
+    compose,
+    decompose,
     expr_to_linexpr,
     node_count,
     output_columns,
@@ -27,10 +29,11 @@ from repro.core.plan import (
 from repro.solver.linexpr import OPS, Constraint, LinExpr
 
 
-def fig1_q1():
-    """The highlighted subexpression of Figure 1, Q1."""
+def fig1_q1(jointype: str = "inner"):
+    """The highlighted subexpression of Figure 1, Q1; another
+    ``jointype`` takes it outside the SPJ fragment."""
     a, b = Scan("A", "A"), Scan("B", "B")
-    join = Join(a, b, Comparison(Col("A", "joinKey"), "=", Col("B", "joinKey")))
+    join = Join(a, b, Comparison(Col("A", "joinKey"), "=", Col("B", "joinKey")), jointype)
     f1 = Filter(
         Comparison(Col("A", "val"), ">", BinOp("+", Col("B", "val"), Const(10.0))),
         join,
@@ -192,3 +195,24 @@ def test_rename_aliases():
     assert base_tables(r) == ("A", "B")  # base tables unchanged
     assert alias_map(r) == {"t1": "A", "t2": "B"}
     assert [c.key for c in output_columns(r)] == ["t1.x", "t2.y"]
+
+
+def test_decompose_reads_the_spj_form():
+    aliases, jps, fps, proj = decompose(fig1_q1())
+    assert aliases == {"A": "A", "B": "B"}
+    assert [repr(p) for p in jps] == ["A.joinKey = B.joinKey"]
+    assert [repr(p) for p in fps] == ["B.val > 10.0", "A.val > (B.val + 10.0)"]
+    assert proj == (Col("A", "x"), Col("B", "y"))
+    # compose stacks filters in list order: the last is on top, read first
+    assert decompose(compose(aliases, jps, fps[::-1], proj)) == (aliases, jps, fps, proj)
+
+
+@pytest.mark.parametrize("jointype", ["left", "semi"])
+def test_decompose_refuses_non_inner_joins(jointype):
+    with pytest.raises(ValueError, match=jointype):
+        decompose(fig1_q1(jointype))
+
+
+def test_decompose_refuses_a_plan_without_root_project():
+    with pytest.raises(ValueError):
+        decompose(fig1_q1().child)

@@ -152,7 +152,6 @@ def test_self_join_bijection_search():
 def test_verifier_counts_work():
     v = Verifier()
     v.equivalent(fig1_q1(), fig1_q2())
-    assert v.pairs_checked == 1
     assert v.solver_calls > 0
 
 

@@ -9,7 +9,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.plan import Project, base_tables, to_json
+from repro.core.plan import (
+    Col,
+    Comparison,
+    Const,
+    Filter,
+    Project,
+    base_tables,
+    compose,
+    decompose,
+    to_json,
+)
 from repro.core.sqlgen import to_sql
 from repro.verifier.av import verify
 from repro.verifier.model_check import counterexample
@@ -19,11 +29,10 @@ from repro.workload.rewrites import (
     NORMALIZATION,
     REWRITES,
     SYNTACTIC,
-    decompose,
-    compose,
     equivalent_variant,
 )
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE, random_schema
+from tests.test_plan import fig1_q1
 
 
 def test_random_plans_deterministic():
@@ -83,6 +92,31 @@ def test_each_rewrite_family_sound(family):
         if applied >= 4:
             break
     assert applied > 0, f"{family} never applied in 60 tries"
+
+
+def _left_join_plan():
+    """Figure 1's Q1 as a left join, with a third, redundant filter
+    (``A.val > 20`` follows from the other two), so every rule would
+    find something to rewrite."""
+    q = fig1_q1("left")
+    redundant = Comparison(Col("A", "val"), ">", Const(20.0))
+    return Project(q.cols, Filter(redundant, q.child))
+
+
+@pytest.mark.parametrize("family", sorted(REWRITES))
+def test_rewrites_decline_plans_outside_the_fragment(family):
+    """No rule returns a variant of a non-inner-join plan: rebuilding it
+    as inner, or reasoning over its join predicate as a filter, is
+    unsound."""
+    g = np.random.default_rng(0)
+    p = _left_join_plan()
+    assert all(REWRITES[family](p, g) is None for _ in range(20))
+
+
+def test_equivalent_variant_leaves_plans_outside_the_fragment():
+    p = _left_join_plan()
+    v, applied = equivalent_variant(p, np.random.default_rng(0))
+    assert v is p and applied == []
 
 
 def test_equivalent_variant_chains_sound():
