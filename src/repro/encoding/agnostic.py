@@ -11,7 +11,8 @@ workloads.
 Two encoders assign these slots, and must agree bit-for-bit (tested):
 
 - **direct** — encode the plans against the group's slot vocabulary,
-  named by :func:`group_vocab`; training pairs use it;
+  named by :func:`group_vocab`; it is the tests' reference and the
+  converter benchmark's baseline;
 - **converter** (§4.2.1) — transform already-computed instance
   matrices. This is the paper's "lightweight converter" that avoids
   re-walking every plan per pair, and the cascade runs on it:
@@ -23,7 +24,8 @@ Two encoders assign these slots, and must agree bit-for-bit (tested):
   from instance column to agnostic column: one map for a whole group
   (:func:`group_agnostic`, the VMF's n-ary encoding) or one per pair
   (:func:`pair_batches`, the EMF's pairwise encoding), scattered into
-  one packed node matrix per batch.
+  one packed node matrix per batch; :func:`plan_pair_batches` for plan
+  pairs (labelled data, τ calibration).
 """
 from __future__ import annotations
 
@@ -259,3 +261,14 @@ def pair_batches(
         maps = _column_maps(group, t_slot[ks], c_slot[ks])
         own = np.arange(len(ks))
         yield ks, _convert(group, I[ks], maps, own), _convert(group, J[ks], maps, own)
+
+
+def plan_pair_batches(
+    pairs: list[tuple[Plan, Plan]],
+) -> Iterator[tuple[np.ndarray, Packed, Packed]]:
+    """:func:`pair_batches` over a list of plan pairs: all their plans
+    are prepared as one :func:`instance_group`, and pair ``k`` is the
+    index pair ``(2k, 2k + 1)``."""
+    if pairs:
+        group = instance_group([p for pair in pairs for p in pair])
+        yield from pair_batches(group, [(2 * k, 2 * k + 1) for k in range(len(pairs))])

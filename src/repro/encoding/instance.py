@@ -22,9 +22,10 @@ Deviations, documented per DESIGN.md:
   the workload generator emits distinct-table joins only.
 
 The tree is rendered as a BFS node matrix (§3.2) plus per-node child
-indices (:class:`TreeEnc`). Trees go to the tree-convolution layers
-either padded to one node count (training) or :class:`Packed` row-wise
-with no padding (every eval path).
+indices (:class:`TreeEnc`). The encoders hand trees on :class:`Packed`
+row-wise with no padding; every eval path runs on them as they are,
+and training pads them to one node count
+(:func:`repro.nn.train.pad_packed`).
 """
 from __future__ import annotations
 

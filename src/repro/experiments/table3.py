@@ -87,7 +87,7 @@ def run(
     train = encode_pairs(train_ds, pad_to=24)
     res = Table3Result(n_test=len(test))
 
-    m = evaluate(mlp, test)
+    m = evaluate(mlp, test_ds)
     res.rows.append(
         ClassifierRow("MLP (tree-conv EMF)", m["accuracy"], m["f1"],
                       mlp_train_seconds,

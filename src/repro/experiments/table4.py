@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.nn.model import EMF
-from repro.nn.train import encode_pairs, evaluate
+from repro.nn.train import evaluate
 from repro.workload.labeler import make_dataset
 from repro.workload.schema import random_schema
 
@@ -53,10 +53,9 @@ def run(
     for k, size in enumerate(sizes):
         schema = random_schema(seed + k)
         ds = make_dataset(schema, size // 2, size // 2, seed=seed + 10 * k)
-        data = encode_pairs(ds)
-        m = evaluate(model, data)
+        m = evaluate(model, ds)
         res.rows.append(
-            TransferRow(len(data), schema.name, m["precision"],
-                        m["recall"], m["f1"])
+            TransferRow(m["tp"] + m["fp"] + m["fn"] + m["tn"], schema.name,
+                        m["precision"], m["recall"], m["f1"])
         )
     return res

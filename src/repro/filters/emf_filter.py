@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.encoding.agnostic import InstanceGroup, pair_batches
-# the benchmark's tracer looks encode_pair_agnostic up here until ROADMAP item 5 step A
+# the benchmark's tracer looks encode_pair_agnostic up here until ROADMAP item 4 step A
 from repro.encoding.agnostic import encode_pair_agnostic  # noqa: F401
 from repro.nn.model import EMF
 

@@ -28,7 +28,7 @@ from repro.encoding.agnostic import (
     InstanceGroup,
     group_agnostic,
     instance_group,
-    pair_batches,
+    plan_pair_batches,
 )
 from repro.filters.schema_filter import sf_groups
 from repro.nn.model import EMF
@@ -103,14 +103,10 @@ def candidate_pairs(
 def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
     """Embedding distance of each pair under its pairwise encoding (a
     two-plan group's n-ary one); NaN for a pair outside the agnostic
-    space. All plans are prepared as one group and embedded in packed
-    pair batches."""
+    space. The pairs are embedded in the packed batches of
+    :func:`~repro.encoding.agnostic.plan_pair_batches`."""
     out = np.full(len(pairs), np.nan)
-    if not pairs:
-        return out
-    group = instance_group([p for pair in pairs for p in pair])
-    index = [(2 * k, 2 * k + 1) for k in range(len(pairs))]
-    for ks, a, b in pair_batches(group, index):
+    for ks, a, b in plan_pair_batches(pairs):
         diff = model.embed_packed(*a) - model.embed_packed(*b)
         # a 1-D norm per row: the axis=1 norm rounds differently and moves τ
         out[ks] = [np.linalg.norm(d) for d in diff]

@@ -12,7 +12,9 @@ The conv stack doubles as the VMF's embedding function (§2.2):
 :meth:`EMF.embed_eval` is what the vector-matching filter indexes.
 
 Training runs on padded batches (:meth:`EMF.embed`,
-:meth:`EMF.forward_pair`, with backward passes). Every eval path —
+:meth:`EMF.forward_pair`, with backward passes), which
+:func:`repro.nn.train.encode_pairs` pads from the converter's packed
+pair batches. Every eval path —
 :meth:`EMF.embed_packed` (behind :meth:`EMF.embed_eval`) and
 :meth:`EMF.predict_proba` — runs on
 :class:`~repro.encoding.instance.Packed` trees instead: one matmul per

@@ -1,10 +1,10 @@
 """EMF training loop, batching, and metrics (§5, §7.1).
 
-Turns labeled plan pairs into padded db-agnostic tensors, trains the
-EMF with Adam + BCE, and computes the accuracy/precision/recall/F1 and
-confusion-matrix numbers the paper reports in Tables 3–5. Prediction
-packs each padded batch (:func:`pack_padded`) for the model's one eval
-path.
+Labeled plan pairs go through the cascade's pair encoder, the §4.2.1
+converter (:func:`~repro.encoding.agnostic.plan_pair_batches`).
+Training pads its packed batches (:func:`pad_packed`) for Adam + BCE;
+prediction scores them as they come. Metrics are the accuracy,
+precision, recall, F1 and confusion counts of Tables 3–5.
 """
 from __future__ import annotations
 
@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic
-from repro.encoding.instance import Packed, TreeEnc, offsets
+from repro.core.plan import Plan
+from repro.encoding.agnostic import plan_pair_batches
+from repro.encoding.instance import Packed
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
@@ -31,37 +32,21 @@ log = logging.getLogger(__name__)
 # --------------------------------------------------------------------------
 
 
-def pad_encs(encs: list[TreeEnc], m: int | None = None):
-    """Pad a list of TreeEncs to (B, M, D) + child/mask arrays."""
-    M = m or max(e.X.shape[0] for e in encs)
-    B = len(encs)
-    D = encs[0].X.shape[1]
-    X = np.zeros((B, M, D), dtype=np.float64)
-    L = np.full((B, M), -1, dtype=np.int32)
-    R = np.full((B, M), -1, dtype=np.int32)
-    mask = np.zeros((B, M), dtype=np.float64)
-    for i, e in enumerate(encs):
-        k = e.X.shape[0]
-        if k > M:
-            raise ValueError(f"plan with {k} nodes exceeds pad size {M}")
-        X[i, :k] = e.X
-        L[i, :k] = e.left
-        R[i, :k] = e.right
-        mask[i, :k] = 1.0
-    return X, L, R, mask
-
-
-def pack_padded(X, L, R, mask) -> Packed:
-    """A padded batch (B, M, ·) packed row-wise: the nodes with mask
-    > 0, in order, child indices made global."""
-    valid = mask > 0
-    row = np.cumsum(valid).reshape(valid.shape) - 1  # packed row of each node
-    b = np.arange(len(X))[:, None]
-
-    def rows(idx):
-        return np.where(idx >= 0, row[b, idx], -1)[valid]
-
-    return Packed(offsets(valid.sum(axis=1)), X[valid], rows(L), rows(R))
+def pad_packed(packed: Packed, m: int):
+    """Packed trees padded to (B, m, D) node matrices + child/mask
+    arrays, child indices made local to each tree; raises
+    ``ValueError`` for a tree of more than ``m`` nodes."""
+    starts, X, left, right = packed
+    sizes = np.diff(starts, append=len(X))
+    if sizes.max() > m:
+        raise ValueError(f"plan with {sizes.max()} nodes exceeds pad size {m}")
+    tree = np.repeat(np.arange(len(starts)), sizes)
+    slot = (tree, np.arange(len(X)) - starts[tree])
+    Xp = np.zeros((len(starts), m, X.shape[1]))
+    Xp[slot] = X
+    L, R = np.full((2, len(starts), m), -1, dtype=np.int32)
+    L[slot], R[slot] = (np.where(c >= 0, c - starts[tree], -1) for c in (left, right))
+    return Xp, L, R, (np.arange(m) < sizes[:, None]).astype(np.float64)
 
 
 @dataclass
@@ -84,26 +69,17 @@ def encode_pairs(
     pairs: list[LabeledPair], *, pad_to: int | None = None
 ) -> PairTensors:
     """DB-agnostic pairwise encoding of a labeled dataset (§4.2), padded
-    to the largest node count (at least ``pad_to``).
+    to the largest node count (at least ``pad_to``). Pairs outside the
+    agnostic space are dropped, as the paper's n/m bound does."""
+    batches = list(plan_pair_batches([(p.p1, p.p2) for p in pairs]))
+    sizes = [np.diff(t.starts, append=len(t.X)) for _, a, b in batches for t in (a, b)]
+    m = max(pad_to or 0, *(s.max() for s in sizes))
 
-    Plans are structurally canonicalized first
-    (:mod:`repro.encoding.canonical_form`).
-    """
-    from repro.encoding.canonical_form import canonical_plan
+    def side(i: int) -> tuple:
+        return tuple(map(np.concatenate, zip(*(pad_packed(batch[i], m) for batch in batches))))
 
-    enc_a, enc_b, ys = [], [], []
-    for p in pairs:
-        try:
-            ea, eb = encode_pair_agnostic(canonical_plan(p.p1), canonical_plan(p.p2))
-        except ValueError:
-            continue  # exceeds the agnostic space — drop, as the paper's n/m bound does
-        enc_a.append(ea)
-        enc_b.append(eb)
-        ys.append(float(p.label))
-    m = max(max(e.X.shape[0] for e in enc_a), max(e.X.shape[0] for e in enc_b))
-    if pad_to is not None:
-        m = max(m, pad_to)
-    return PairTensors(pad_encs(enc_a, m), pad_encs(enc_b, m), np.array(ys))
+    y = np.array([float(pairs[k].label) for ks, _, _ in batches for k in ks])
+    return PairTensors(side(1), side(2), y)
 
 
 # --------------------------------------------------------------------------
@@ -186,18 +162,22 @@ def train_emf(
     return losses
 
 
-def predict(model: EMF, data: PairTensors) -> np.ndarray:
-    out = []
-    for s in range(0, len(data), PAIR_BATCH):
-        idx = np.arange(s, min(s + PAIR_BATCH, len(data)))
-        b = data.subset(idx)
-        out.append(model.predict_proba(pack_padded(*b.a), pack_padded(*b.b)))
-    return np.concatenate(out) if out else np.array([])
+def predict(model: EMF, pairs: list[tuple[Plan, Plan]]) -> tuple[np.ndarray, np.ndarray]:
+    """Equivalence probabilities of the plan pairs that fit the agnostic
+    space: (their positions in ``pairs``, probabilities)."""
+    pos, proba = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for ks, a, b in plan_pair_batches(pairs):
+        pos.append(ks)
+        proba.append(model.predict_proba(a, b))
+    return np.concatenate(pos), np.concatenate(proba)
 
 
-def evaluate(model: EMF, data: PairTensors) -> dict:
-    p = predict(model, data)
-    return metrics(data.y, p >= 0.5)
+def evaluate(model: EMF, pairs: list[LabeledPair]) -> dict:
+    """:func:`metrics` of the EMF's 0.5-threshold decisions over the
+    pairs that fit the agnostic space."""
+    pos, proba = predict(model, [(p.p1, p.p2) for p in pairs])
+    y = np.array([float(pairs[k].label) for k in pos])
+    return metrics(y, proba >= 0.5)
 
 
 # --------------------------------------------------------------------------

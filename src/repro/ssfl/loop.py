@@ -137,14 +137,10 @@ def ssfl(
     monitor_idx = rng.choice(
         len(all_pairs), size=min(MONITOR_PAIRS, len(all_pairs)), replace=False
     )
-    monitor = [
-        LabeledPair(workload[all_pairs[k][0]], workload[all_pairs[k][1]], False)
-        for k in monitor_idx
-    ]
-    monitor_data = encode_pairs(monitor)
+    monitor = [(workload[all_pairs[k][0]], workload[all_pairs[k][1]]) for k in monitor_idx]
     accumulated: list[LabeledPair] = []
     for _ in range(max_iterations):
-        probas = predict(model, monitor_data)
+        _, probas = predict(model, monitor)
         cl = confidence_level(probas, threshold)
         result.confidences.append(cl)
         if cl >= threshold:
@@ -165,7 +161,7 @@ def ssfl(
             model, encode_pairs(accumulated), epochs=fine_tune_epochs, batch_size=64,
             seed=int(rng.integers(0, 2**31)), optimizer=opt,
         )
-    probas = predict(model, monitor_data)
+    _, probas = predict(model, monitor)
     result.confidences.append(confidence_level(probas, threshold))
     return result
 

@@ -6,7 +6,8 @@ name, the root of an attribute chain, an entry of ``__all__`` or inside
 a string annotation. An import line that carries ``# noqa: F401`` is
 exempt.
 
-The layers below the workload generator never import it."""
+The layers below the workload generator never import it, and the NN
+stack takes plan tensors only from the encoders' pair batches."""
 import ast
 from pathlib import Path
 
@@ -99,3 +100,23 @@ def test_lower_layers_do_not_import_the_workload():
         if module == "repro.workload" or module.startswith("repro.workload.")
     ]
     assert not bad, "lower layers import repro.workload:\n" + "\n".join(bad)
+
+
+# Plan → tensor work stays in repro.encoding: the NN stack reads the
+# converter's pair batches, never a plan walk or a direct encoder.
+PLAN_ENCODERS = (
+    "repro.encoding.canonical_form",
+    "repro.encoding.instance.encode_tree",
+    "repro.encoding.agnostic.encode_pair_agnostic",
+    "repro.encoding.agnostic.encode_group_agnostic",
+)
+
+
+def test_nn_does_not_encode_plans():
+    bad = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src" / "repro" / "nn").rglob("*.py"))
+        for name, line in _imported_names(ast.parse(path.read_text()))
+        if any(name == m or name.startswith(m + ".") for m in PLAN_ENCODERS)
+    ]
+    assert not bad, "repro.nn encodes plans itself:\n" + "\n".join(bad)

@@ -29,8 +29,8 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
-from repro.nn.train import encode_pairs, pad_encs, predict
-from repro.workload.labeler import make_dataset, make_positive_pairs
+from repro.nn.train import encode_pairs, predict
+from repro.workload.labeler import LabeledPair, make_dataset, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_filters import _wide_plan
 
@@ -43,9 +43,22 @@ def pool(emf_model):
     return planted_pool(emf_model, n_subexpr=320, n_equiv=50, seed=100)
 
 
+def pad(encs, m: int):
+    """Direct encodings padded to (B, m, ·) node matrices, child
+    indices and masks."""
+    X = np.zeros((len(encs), m, encs[0].X.shape[1]))
+    L = np.full((len(encs), m), -1, dtype=np.int32)
+    R = np.full((len(encs), m), -1, dtype=np.int32)
+    mask = np.zeros((len(encs), m))
+    for i, e in enumerate(encs):
+        k = len(e.X)
+        X[i, :k], L[i, :k], R[i, :k], mask[i, :k] = e.X, e.left, e.right, 1.0
+    return X, L, R, mask
+
+
 def padded_embeddings(model, plans) -> np.ndarray:
     encs = encode_group_agnostic([canonical_plan(p) for p in plans])
-    z, _ = model.embed(*pad_encs(encs), train=False)
+    z, _ = model.embed(*pad(encs, max(len(e.X) for e in encs)), train=False)
     return z
 
 
@@ -63,7 +76,7 @@ def padded_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
     for s in range(0, len(ks), PAIR_BATCH):
         ea, eb = zip(*encs[s : s + PAIR_BATCH])
         m = max(e.X.shape[0] for e in ea + eb)
-        logits, _ = model.forward_pair(pad_encs(ea, m), pad_encs(eb, m), train=False)
+        logits, _ = model.forward_pair(pad(ea, m), pad(eb, m), train=False)
         out[ks[s : s + PAIR_BATCH]] = 1.0 / (1.0 + np.exp(-logits))
     return out, len(pairs) - len(ks)
 
@@ -112,14 +125,42 @@ def test_packed_path_out_of_space(emf_model):
     assert abs(scores[5] - reference[5]) <= TOL and scores[5] < 1.0
 
 
-def test_predict_packs_padded_batches(emf_model):
-    """``train.predict`` (Tables 3–5, SSFL) packs each padded batch for
-    ``predict_proba``; it agrees with the padded ``forward_pair``."""
-    data = encode_pairs(make_dataset(TPCH_LITE, 150, 150, seed=3))
+def test_encode_pairs_matches_direct_encoder():
+    """Training tensors come from the converter's pair batches; they
+    equal each pair encoded directly and padded, value for value, and
+    an out-of-space pair is dropped from both."""
+    ds = make_dataset(TPCH_LITE, 150, 150, seed=3)
+    pairs = ds[:100] + [LabeledPair(_wide_plan(8, 1.0), _wide_plan(2, 2.0), True)] + ds[100:]
+    assert len(pairs) > PAIR_BATCH
+    encs, y = [], []
+    for p in pairs:
+        try:
+            encs.append(encode_pair_agnostic(canonical_plan(p.p1), canonical_plan(p.p2)))
+        except ValueError:
+            continue
+        y.append(float(p.label))
+    assert len(encs) == len(pairs) - 1
+    m = max(len(e.X) for pair in encs for e in pair) + 3
+    data = encode_pairs(pairs, pad_to=m)
+    ea, eb = zip(*encs)
+    for got, want in ((data.a, pad(ea, m)), (data.b, pad(eb, m))):
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(data.y, y)
+
+
+def test_predict_scores_plan_pairs(emf_model):
+    """``train.predict`` (Tables 3 and 4, SSFL) scores plan pairs in the
+    converter's packed batches; it agrees with the padded
+    ``forward_pair`` on the same pairs' training tensors."""
+    ds = make_dataset(TPCH_LITE, 150, 150, seed=3)
+    data = encode_pairs(ds)
     assert len(data) > 256  # more than one batch, padded to one node count
+    pos, proba = predict(emf_model, [(p.p1, p.p2) for p in ds])
+    np.testing.assert_array_equal(pos, np.arange(len(ds)))
     logits, _ = emf_model.forward_pair(data.a, data.b, train=False)
-    np.testing.assert_allclose(predict(emf_model, data), 1.0 / (1.0 + np.exp(-logits)),
-                               rtol=0, atol=TOL)
+    np.testing.assert_allclose(proba, 1.0 / (1.0 + np.exp(-logits)), rtol=0, atol=TOL)
 
 
 def test_pair_distances_match_padded(emf_model):
