@@ -24,8 +24,8 @@ it:
   task overhead would drown the measured quantity.
 
 A pair dropped by a stage never reaches the next. Both return a
-:class:`PipelineResult` with per-stage survivor counts, times and
-pass-throughs, which the Table 1 / ablation experiments report.
+:class:`PipelineResult` with per-stage survivor counts, times,
+pass-throughs and AV unknowns, which the Table 1 / ablation report.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ class PipelineResult:
     times: dict[str, float] = field(default_factory=dict)  # seconds
     passthrough: dict[str, int] = field(default_factory=dict)  # VMF, EMF
     av_pairs_checked: int = 0
-    av_unknown: int = 0  # AV raised: never reported as equivalent
+    av_unknown: int = 0  # AV verdict unknown: never reported as equivalent
 
     @property
     def total_time(self) -> float:
@@ -103,9 +103,8 @@ def cascade_group(
     """VMF → EMF → AV over the pairs of ``plans``, one SF-group (or the
     whole workload when no filter groups it). Pairs are local indices.
 
-    A pair whose AV check raises ``RuntimeError`` (the alias-bijection
-    budget, or the solver's ``SolverError``) is counted in
-    ``av_unknown`` and not reported."""
+    A pair whose AV verdict is unknown is counted in ``av_unknown``
+    and not reported."""
     res = _empty_result(len(plans), filters)
     pairs = list(itertools.combinations(range(len(plans)), 2))
     if "SF" in filters:
@@ -129,10 +128,10 @@ def cascade_group(
     t0 = time.perf_counter()
     with verifier.prepared(lower):
         for i, j in pairs:
-            try:
-                if verifier.equivalent(plans[i], plans[j]):
-                    res.pairs.add((i, j))
-            except RuntimeError:
+            verdict = verifier.equivalent(plans[i], plans[j])
+            if verdict:
+                res.pairs.add((i, j))
+            elif verdict is None:
                 res.av_unknown += 1
     res.times["AV"] = time.perf_counter() - t0
     res.av_pairs_checked = len(pairs)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.plan import Plan
-from repro.encoding.agnostic import plan_pair_batches
+from repro.encoding.agnostic import DEFAULT_SPACE, plan_pair_batches
 from repro.encoding.instance import Packed
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
@@ -72,6 +72,10 @@ def encode_pairs(
     to the largest node count (at least ``pad_to``). Pairs outside the
     agnostic space are dropped, as the paper's n/m bound does."""
     batches = list(plan_pair_batches([(p.p1, p.p2) for p in pairs]))
+    if not batches:  # no pair fits: zero pairs
+        m, d = pad_to or 0, DEFAULT_SPACE.nv_size
+        empty = (np.zeros((0, m, d)), *np.full((2, 0, m), -1, np.int32), np.zeros((0, m)))
+        return PairTensors(empty, empty, np.zeros(0))
     sizes = [np.diff(t.starts, append=len(t.X)) for _, a, b in batches for t in (a, b)]
     m = max(pad_to or 0, *(s.max() for s in sizes))
 

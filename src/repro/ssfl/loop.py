@@ -5,7 +5,8 @@ below ``T_h`` it draws a new labeled sample and fine-tunes. The key
 mechanism is *filter-balanced sampling*: positives are found by running
 the cheap SF and VMF filters over the workload cross-product and
 AV-labeling the survivors (``S₊ ← AV(VMF(SF(W×W)))``); negatives are
-the AV-rejected survivors plus random pairs to balance. Random-sampling
+the AV-refuted survivors plus random pairs to balance (a pair the AV
+cannot decide gets no label). Random-sampling
 mode (the paper's baseline in Figure 9) labels uniformly drawn pairs —
 which almost never yields positives.
 """
@@ -45,13 +46,10 @@ def _workload_pairs(plans: list[Plan]) -> list[tuple[int, int]]:
 def _labelled(
     plans: list[Plan], i: int, j: int, verifier: Verifier, source: str
 ) -> LabeledPair | None:
-    """The pair labelled by the AV; None when the check raises
-    ``RuntimeError`` (an unknown is no label, not a negative)."""
-    try:
-        label = verifier.equivalent(plans[i], plans[j])
-    except RuntimeError:
-        return None
-    return LabeledPair(plans[i], plans[j], label, source)
+    """The pair labelled by the AV; None when its verdict is unknown
+    (an unknown is no label, not a negative)."""
+    label = verifier.equivalent(plans[i], plans[j])
+    return None if label is None else LabeledPair(plans[i], plans[j], label, source)
 
 
 def sample_filter_balanced(

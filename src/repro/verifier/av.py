@@ -16,7 +16,9 @@ tuple combinations one-to-one, and logically equivalent predicate
 conjunctions select exactly the same combinations, so output
 multiplicities match — bag equivalence. The procedure is correct but
 not complete (like the paper's AV, §2.1): exotic equivalences with no
-alias bijection are reported non-equivalent.
+alias bijection are refuted, and a check it cannot finish (a plan
+outside the SPJ fragment, the bijection budget, FM's ``SolverError``)
+answers unknown, ``None``, rather than raising.
 
 Cost: exponential in alias-group sizes and in FM variable count —
 mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. Flattening is
@@ -51,11 +53,15 @@ class Verifier:
     # inside ``prepared``: (plan id → (plan, flat form or None), lowering)
     _prep: tuple[dict, Lower] | None = field(default=None, init=False, repr=False)
 
-    def equivalent(self, p1: Plan, p2: Plan) -> bool:
+    def equivalent(self, p1: Plan, p2: Plan) -> bool | None:
+        """Proved (True), refuted (False) or unknown (None)."""
         f1, f2 = self._flat(p1), self._flat(p2)
         if f1 is None or f2 is None:
-            return False
-        return self._equivalent_flat(f1, f2)
+            return None
+        try:
+            return self._equivalent_flat(f1, f2)
+        except RuntimeError:  # the bijection budget, or FM's SolverError
+            return None
 
     @contextlib.contextmanager
     def prepared(self, lower: Lower):
@@ -171,6 +177,6 @@ def _rename_key(key: str, mapping: dict[str, str]) -> str:
     return f"{mapping.get(alias, alias)}.{col}"
 
 
-def verify(p1: Plan, p2: Plan) -> bool:
-    """One-shot convenience wrapper."""
+def verify(p1: Plan, p2: Plan) -> bool | None:
+    """One-shot convenience wrapper: :meth:`Verifier.equivalent`."""
     return Verifier().equivalent(p1, p2)

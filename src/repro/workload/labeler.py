@@ -139,8 +139,8 @@ def make_negative_pairs(
     labels are exact — §5 notes this is how a perfect dataset is built;
     our AV is cheap enough to afford it. A near-miss perturbation can
     accidentally be equivalent (e.g. bumping the constant of a redundant
-    filter), so screening is not optional paranoia. A candidate whose
-    check raises ``RuntimeError`` is rejected.
+    filter), so screening is not optional paranoia. A screened candidate
+    is kept only when the AV refutes it; an unknown is no negative.
     """
     from repro.verifier.av import Verifier
 
@@ -150,12 +150,7 @@ def make_negative_pairs(
     pool: dict[tuple, list[Plan]] = {}
 
     def ok(a: Plan, b: Plan) -> bool:
-        if to_json(a) == to_json(b):
-            return False
-        try:
-            return not (screen and av.equivalent(a, b))
-        except RuntimeError:
-            return False  # unknown: not a certain negative
+        return to_json(a) != to_json(b) and (not screen or av.equivalent(a, b) is False)
 
     while len(out) < n:
         p = random_base_plan(schema, g)

@@ -83,7 +83,7 @@ def test_extracted_equivalence_detected_by_av(spark, views):
 def test_extract_nonequivalent_pair(spark, views):
     q1 = extract_spj_sql(spark, "SELECT A.x FROM A WHERE A.val > 10")
     q2 = extract_spj_sql(spark, "SELECT A.x FROM A WHERE A.val > 20")
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
 
 
 def test_disequality_predicate(spark, views):

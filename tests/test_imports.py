@@ -6,8 +6,9 @@ name, the root of an attribute chain, an entry of ``__all__`` or inside
 a string annotation. An import line that carries ``# noqa: F401`` is
 exempt.
 
-The layers below the workload generator never import it, and the NN
-stack takes plan tensors only from the encoders' pair batches."""
+The layers below the workload generator never import it, the NN
+stack takes plan tensors only from the encoders' pair batches, and only
+the AV turns a ``RuntimeError`` into a verdict."""
 import ast
 from pathlib import Path
 
@@ -120,3 +121,26 @@ def test_nn_does_not_encode_plans():
         if any(name == m or name.startswith(m + ".") for m in PLAN_ENCODERS)
     ]
     assert not bad, "repro.nn encodes plans itself:\n" + "\n".join(bad)
+
+
+# The AV answers unknown itself (``Verifier.equivalent`` → None); no
+# caller guards a check against a raise.
+RUNTIME_ERROR_HANDLER = Path("src/repro/verifier/av.py")
+
+
+def _catches_runtime_error(node: ast.AST) -> bool:
+    """``node`` is an ``except`` clause that lists ``RuntimeError``."""
+    return isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+        isinstance(n, ast.Name) and n.id == "RuntimeError" for n in ast.walk(node.type)
+    )
+
+
+def test_only_the_verifier_handles_runtime_error():
+    bad = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        if path.relative_to(ROOT) != RUNTIME_ERROR_HANDLER
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _catches_runtime_error(node)
+    ]
+    assert not bad, "except RuntimeError outside the AV:\n" + "\n".join(bad)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.encoding.agnostic import (
+    DEFAULT_SPACE,
     PAIR_BATCH,
     encode_group_agnostic,
     encode_pair_agnostic,
@@ -29,7 +30,8 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
-from repro.nn.train import encode_pairs, predict
+from repro.nn.model import EMF, EMFConfig
+from repro.nn.train import encode_pairs, predict, train_emf
 from repro.workload.labeler import LabeledPair, make_dataset, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_filters import _wide_plan
@@ -148,6 +150,22 @@ def test_encode_pairs_matches_direct_encoder():
             assert g.shape == w.shape
             np.testing.assert_array_equal(g, w)
     np.testing.assert_array_equal(data.y, y)
+
+
+@pytest.mark.parametrize("wide", [0, 1])
+def test_encode_pairs_without_a_fitting_pair(wide):
+    """No pair, or only a pair of 8-column plans (outside the 6×7
+    space): the tensors hold zero pairs and training takes no step."""
+    pairs = [LabeledPair(_wide_plan(8, 1.0), _wide_plan(8, 2.0), True)] * wide
+    data = encode_pairs(pairs, pad_to=5)
+    assert len(data) == 0
+    assert data.a[0].shape == data.b[0].shape == (0, 5, DEFAULT_SPACE.nv_size)
+    assert all(t.shape == (0, 5) for t in data.a[1:] + data.b[1:])
+    cfg = EMFConfig(d_in=DEFAULT_SPACE.nv_size, conv=(4, 4), fc=(4, 2), dropout=0.0, seed=3)
+    model = EMF(cfg)
+    before = model.to_bytes()
+    train_emf(model, data, epochs=2)
+    assert model.to_bytes() == before
 
 
 def test_predict_scores_plan_pairs(emf_model):

@@ -11,7 +11,6 @@ from repro.ssfl.loop import (
     ssfl,
 )
 from repro.core.plan import to_json
-from repro.solver.fm import SolverError
 from repro.verifier.av import Verifier
 from repro.workload.labeler import make_dataset, make_planted_workload
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
@@ -65,9 +64,9 @@ def test_random_sampling_rarely_finds_positives():
     assert all(isinstance(p.label, (bool, np.bool_)) for p in sample)
 
 
-class RaisingVerifier(Verifier):
+class UnknownVerifier(Verifier):
     def equivalent(self, p1, p2):
-        raise SolverError("budget exhausted")
+        return None
 
 
 def _keys(sample):
@@ -82,9 +81,9 @@ def test_filter_balanced_sampling_drops_pairs_whose_check_raises(emf_model):
     sample = sample_filter_balanced(
         w.plans, emf_model, v, tau=5.0, batch=64, rng=np.random.default_rng(0)
     )
-    assert sample and v.raised and not v.raised & _keys(sample)
+    assert sample and v.unknown and not v.unknown & _keys(sample)
     assert sample_filter_balanced(
-        w.plans, emf_model, RaisingVerifier(), tau=5.0, batch=64,
+        w.plans, emf_model, UnknownVerifier(), tau=5.0, batch=64,
         rng=np.random.default_rng(0),
     ) == []
 
@@ -93,10 +92,10 @@ def test_random_sampling_drops_pairs_whose_check_raises():
     w = make_planted_workload(TPCDS_LITE, n_subexpr=40, n_equiv=4, seed=51)
     v = FlakyVerifier()
     sample = sample_random(w.plans, v, batch=64, rng=np.random.default_rng(1))
-    assert v.raised and len(sample) == 64 - len(v.raised)
-    assert not v.raised & _keys(sample)
+    assert v.unknown and len(sample) == 64 - len(v.unknown)
+    assert not v.unknown & _keys(sample)
     assert sample_random(
-        w.plans, RaisingVerifier(), batch=64, rng=np.random.default_rng(1)
+        w.plans, UnknownVerifier(), batch=64, rng=np.random.default_rng(1)
     ) == []
 
 

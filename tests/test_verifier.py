@@ -4,6 +4,9 @@ The headline case is Figure 1 from the paper: two syntactically
 different subexpressions that the AV must prove equivalent. Soundness
 is cross-validated against the randomized DuckDB model checker.
 """
+import pytest
+
+from repro.core.pipeline import geqo_set_local
 from repro.core.plan import (
     Col,
     Comparison,
@@ -57,20 +60,20 @@ def test_different_constant_not_equivalent():
         q1.cols,
         Filter(Comparison(Col("B", "val"), ">", Const(11.0)), q1.child.child),
     )
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
     assert counterexample(q1, q2, trials=10, rows=60) is not None
 
 
 def test_different_projection_not_equivalent():
     q1 = fig1_q1()
     q2 = Project((Col("A", "x"), Col("A", "val")), q1.child)
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
 
 
 def test_projection_arity_mismatch():
     q1 = fig1_q1()
     q2 = Project((Col("A", "x"),), q1.child)
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
 
 
 def test_different_tables_not_equivalent():
@@ -80,7 +83,7 @@ def test_different_tables_not_equivalent():
         Join(Scan("A", "A"), Scan("C", "C"),
              Comparison(Col("A", "joinKey"), "=", Col("C", "joinKey"))),
     )
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
 
 
 def test_alias_renaming_is_equivalent():
@@ -107,7 +110,7 @@ def test_projection_order_matters():
                 Comparison(Col("A", "k"), "=", Col("B", "k")))
     q1 = Project((Col("A", "u"), Col("B", "w")), join)
     q2 = Project((Col("B", "w"), Col("A", "u")), join)
-    assert not verify(q1, q2)
+    assert verify(q1, q2) is False
 
 
 def test_vacuously_empty_plans_equivalent():
@@ -161,8 +164,55 @@ def test_non_inner_join_rejected_conservatively():
         Join(Scan("A", "A"), Scan("B", "B"),
              Comparison(Col("A", "k"), "=", Col("B", "k")), "left"),
     )
-    assert not verify(q1, q1_inner := Project(
+    assert verify(q1, q1_inner := Project(
         (Col("A", "k"),),
         Join(Scan("A", "A"), Scan("B", "B"),
              Comparison(Col("A", "k"), "=", Col("B", "k"))),
-    ))
+    )) is None
+
+
+def _left_join():
+    """Outside the SPJ fragment: a left join."""
+    return Project(
+        (Col("A", "k"),),
+        Join(Scan("A", "A"), Scan("B", "B"),
+             Comparison(Col("A", "k"), "=", Col("B", "k")), "left"),
+    )
+
+
+def _disequalities():
+    """13 ``!=`` filters, one more than FM splits."""
+    q = Scan("A", "A")
+    for k in range(13):
+        q = Filter(Comparison(Col("A", "x"), "!=", Const(float(k))), q)
+    return Project((Col("A", "x"),), q)
+
+
+def _self_join_chain():
+    """8 aliases of one table: 8! bijections, over the search budget."""
+    q = Scan("A", "a0")
+    for k in range(1, 8):
+        q = Join(q, Scan("A", f"a{k}"),
+                 Comparison(Col(f"a{k - 1}", "k"), "=", Col(f"a{k}", "k")))
+    return Project((Col("a0", "k"),), q)
+
+
+@pytest.mark.parametrize("make, solver_calls", [
+    (_left_join, 0),  # never flattened
+    (_disequalities, 1),  # FM gives up on the first satisfiability check
+    (_self_join_chain, 1),  # the first plan is satisfiable, then the budget
+])
+def test_unknown_verdict_is_none(make, solver_calls):
+    """A check the AV can neither prove nor refute answers None, and
+    its solver work is still counted."""
+    v = Verifier()
+    assert v.equivalent(make(), make()) is None
+    assert v.solver_calls == solver_calls
+
+
+@pytest.mark.parametrize("make", [_left_join, _disequalities, _self_join_chain])
+def test_unknown_pair_is_counted_not_reported(make):
+    plans = [make(), fig1_q1(), make(), fig1_q2()]
+    res = geqo_set_local(plans, None, filters=("SF",))
+    assert res.pairs == {(1, 3)}
+    assert res.av_unknown == 1 and res.av_pairs_checked == 2
