@@ -50,11 +50,6 @@ def _canonical_form(plan: Plan) -> tuple | None:
     return (tables, constraints, projection)
 
 
-def optimizer_equivalent(p1: Plan, p2: Plan) -> bool:
-    a, b = _canonical_form(p1), _canonical_form(p2)
-    return a is not None and a == b
-
-
 def optimizer_set(plans: list[Plan]) -> set[tuple[int, int]]:
     """All pairs with equal canonical forms (hash-bucketed)."""
     buckets: dict[tuple, list[int]] = {}

@@ -54,10 +54,6 @@ def signature(plan: Plan) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def signature_equivalent(p1: Plan, p2: Plan) -> bool:
-    return signature(p1) == signature(p2)
-
-
 def signature_set(plans: list[Plan]) -> set[tuple[int, int]]:
     """All signature-collision pairs in a workload (hash-bucketed, O(n));
     plans outside the SPJ fragment are skipped."""

@@ -112,13 +112,6 @@ def _lower(e: Expr, k: int | Fraction, acc: dict[str, int | Fraction]) -> int | 
     raise ValueError(f"unknown arithmetic op {e.op!r}")
 
 
-def expr_to_linexpr(e: Expr) -> LinExpr:
-    """Lower a surface expression to an exact linear expression."""
-    acc: dict[str, int | Fraction] = {}
-    const = _lower(e, 1, acc)
-    return LinExpr.of(acc, const)
-
-
 def expr_columns(e: Expr) -> tuple[Col, ...]:
     if isinstance(e, Col):
         return (e,)
@@ -246,10 +239,6 @@ def bfs(plan: Plan) -> Iterator[Plan]:
         node = queue.pop(0)
         yield node
         queue.extend(children(node))
-
-
-def node_count(plan: Plan) -> int:
-    return sum(1 for _ in bfs(plan))
 
 
 def scans(plan: Plan) -> tuple[Scan, ...]:

@@ -23,9 +23,8 @@ Deviations, documented per DESIGN.md:
 
 The tree is rendered as a BFS node matrix (§3.2) plus per-node child
 indices (:class:`TreeEnc`). The encoders hand trees on :class:`Packed`
-row-wise with no padding; every eval path runs on them as they are,
-and training pads them to one node count
-(:func:`repro.nn.train.pad_packed`).
+row-wise with no padding, and the EMF trains and scores them as they
+are.
 """
 from __future__ import annotations
 
@@ -160,6 +159,11 @@ class Packed(NamedTuple):
     X: np.ndarray  # (N, d) float64
     left: np.ndarray  # (N,)
     right: np.ndarray  # (N,)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """(B,) row count of each tree."""
+        return np.diff(self.starts, append=len(self.X))
 
 
 def offsets(sizes: np.ndarray) -> np.ndarray:

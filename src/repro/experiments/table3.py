@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.encoding.instance import Packed
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
 from repro.nn.model import EMF
@@ -59,15 +60,25 @@ class Table3Result:
         return "\n".join(out)
 
 
-def _flatten(data: PairTensors) -> np.ndarray:
+# least node count of the flat features (both schemas' plans fit it)
+FLAT_NODES = 24
+
+
+def _padded(trees: Packed, m: int) -> np.ndarray:
+    """Each tree's node rows padded to ``m`` rows, flattened: (B, m·d)."""
+    tree = np.repeat(np.arange(len(trees.starts)), trees.sizes)
+    out = np.zeros((len(trees.starts), m, trees.X.shape[1]))
+    out[tree, np.arange(len(trees.X)) - trees.starts[tree]] = trees.X
+    return out.reshape(len(trees.starts), -1)
+
+
+def _flatten(data: PairTensors, m: int) -> np.ndarray:
     """Raw flattened pair features for the non-structural baselines:
-    both padded node matrices concatenated into one long vector — the
-    straightforward way to hand the same featurization to a flat model,
-    and the regime where the paper's RF/LR candidates performed poorly."""
-    B = data.a[0].shape[0]
-    return np.concatenate(
-        [data.a[0].reshape(B, -1), data.b[0].reshape(B, -1)], axis=1
-    ).astype(np.float32)
+    both node matrices padded to ``m`` rows and concatenated into one
+    long vector — the straightforward way to hand the same
+    featurization to a flat model, and the regime where the paper's
+    RF/LR candidates performed poorly."""
+    return np.concatenate([_padded(data.a, m), _padded(data.b, m)], axis=1).astype(np.float32)
 
 
 def run(
@@ -81,10 +92,8 @@ def run(
     passed in for the report."""
     test_ds = make_dataset(TPCDS_LITE, n_test, n_test, seed=seed)
     train_ds = make_dataset(TPCH_LITE, n_test, n_test, seed=seed + 1)
-    # pad train and test to a common node count so flattened baseline
-    # feature vectors align across schemas
-    test = encode_pairs(test_ds, pad_to=24)
-    train = encode_pairs(train_ds, pad_to=24)
+    test = encode_pairs(test_ds)
+    train = encode_pairs(train_ds)
     res = Table3Result(n_test=len(test))
 
     m = evaluate(mlp, test_ds)
@@ -95,8 +104,11 @@ def run(
     )
 
     res.n_train = len(train)
-    Xtr, ytr = _flatten(train), train.y
-    Xte, yte = _flatten(test), test.y
+    # one node count for train and test, so the flat feature vectors
+    # align across schemas
+    m = max(FLAT_NODES, *(t.sizes.max() for t in (train.a, train.b, test.a, test.b)))
+    Xtr, ytr = _flatten(train, m), train.y
+    Xte, yte = _flatten(test, m), test.y
 
     t0 = time.perf_counter()
     rf = RandomForest(n_trees=20, max_depth=10, seed=1).fit(Xtr, ytr)

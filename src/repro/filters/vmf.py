@@ -107,7 +107,7 @@ def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
     :func:`~repro.encoding.agnostic.plan_pair_batches`."""
     out = np.full(len(pairs), np.nan)
     for ks, a, b in plan_pair_batches(pairs):
-        diff = model.embed_packed(*a) - model.embed_packed(*b)
+        diff = model.embed(*a, train=False)[0] - model.embed(*b, train=False)[0]
         # a 1-D norm per row: the axis=1 norm rounds differently and moves τ
         out[ks] = [np.linalg.norm(d) for d in diff]
     return out

@@ -49,14 +49,16 @@ def _init(rng: np.random.Generator, *shape: int) -> np.ndarray:
 class TreeConv(Layer):
     """Tree convolution over (node, left child, right child) triples.
 
-    For BFS node features ``X`` (B, M, Din) with child index arrays
-    ``L``/``R`` (B, M; −1 = absent) and node mask (B, M):
+    For the node rows ``X`` (N, Din) of packed trees, with global child
+    rows ``left``/``right`` (N; −1 = absent):
 
-        H[b,i] = X[b,i]·Ws + X[b,L[b,i]]·Wl + X[b,R[b,i]]·Wr + b
+        H[i] = X[i]·Ws + X[left[i]]·Wl + X[right[i]]·Wr + b
 
     This is the Mou et al. [39] / Neo [37] triangle-convolution shape
-    the paper's EMF uses (§3.2, §5). :meth:`forward_packed` computes the
-    same ``H`` on packed trees in eval mode.
+    the paper's EMF uses (§3.2, §5). One matmul against ``[Ws|Wl|Wr]``
+    computes all three terms; each node then adds its children's rows
+    of the ``Wl`` and ``Wr`` output blocks. Row −1, an absent child, is
+    the zero row appended to the product.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
@@ -66,55 +68,36 @@ class TreeConv(Layer):
         self.p["Wr"] = _init(rng, d_in, d_out) * CHILD_SCALE
         self.p["b"] = np.zeros(d_out)
 
-    @staticmethod
-    def _gather(X: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Child features (zeros where idx == −1) and presence mask."""
-        present = idx >= 0
-        safe = np.where(present, idx, 0)
-        B = np.arange(X.shape[0])[:, None]
-        out = X[B, safe] * present[..., None]
-        return out, present
+    def _weights(self) -> np.ndarray:
+        return np.hstack([self.p["Ws"], self.p["Wl"], self.p["Wr"]])
 
-    def forward(self, X, L, R, mask):
-        XL, pl = self._gather(X, L)
-        XR, pr = self._gather(X, R)
-        H = X @ self.p["Ws"] + XL @ self.p["Wl"] + XR @ self.p["Wr"] + self.p["b"]
-        H *= mask[..., None]
-        return H, (X, XL, XR, L, R, pl, pr, mask)
-
-    def forward_packed(self, X, left, right):
-        """Eval-mode forward on packed rows (no padding, no cache): one
-        matmul against ``[Ws|Wl|Wr]``, then each node adds its
-        children's rows of the ``Wl`` and ``Wr`` output blocks. Row −1,
-        an absent child, is the zero row appended to the product."""
+    def forward(self, X, left, right):
         d = self.p["b"].shape[0]
         Y = np.empty((X.shape[0] + 1, 3 * d))
-        np.matmul(X, np.hstack([self.p["Ws"], self.p["Wl"], self.p["Wr"]]), out=Y[:-1])
+        np.matmul(X, self._weights(), out=Y[:-1])
         Y[-1] = 0.0
-        return Y[:-1, :d] + Y[left, d : 2 * d] + Y[right, 2 * d :] + self.p["b"]
+        H = Y[:-1, :d] + Y[left, d : 2 * d] + Y[right, 2 * d :] + self.p["b"]
+        return H, (X, left, right)
 
     def backward(self, cache, dH):
-        X, XL, XR, L, R, pl, pr, mask = cache
-        dH = dH * mask[..., None]
-        flat = lambda A: A.reshape(-1, A.shape[-1])
-        self._acc("Ws", flat(X).T @ flat(dH))
-        self._acc("Wl", flat(XL).T @ flat(dH))
-        self._acc("Wr", flat(XR).T @ flat(dH))
-        self._acc("b", flat(dH).sum(axis=0))
-        dX = dH @ self.p["Ws"].T
-        # scatter-add child-path gradients back to child node positions
-        B_idx = np.arange(X.shape[0])[:, None]
-        dXL = (dH @ self.p["Wl"].T) * pl[..., None]
-        dXR = (dH @ self.p["Wr"].T) * pr[..., None]
-        safeL = np.where(pl, L, 0)
-        safeR = np.where(pr, R, 0)
-        np.add.at(dX, (np.broadcast_to(B_idx, L.shape), safeL), dXL)
-        np.add.at(dX, (np.broadcast_to(B_idx, R.shape), safeR), dXR)
-        return dX
+        X, left, right = cache
+        d = dH.shape[1]
+        # gradient of the product Y; child terms scatter onto child rows
+        dY = np.zeros((X.shape[0] + 1, 3 * d))
+        dY[:-1, :d] = dH
+        np.add.at(dY[:, d : 2 * d], left, dH)
+        np.add.at(dY[:, 2 * d :], right, dH)
+        dY = dY[:-1]
+        dW = X.T @ dY
+        self._acc("Ws", dW[:, :d])
+        self._acc("Wl", dW[:, d : 2 * d])
+        self._acc("Wr", dW[:, 2 * d :])
+        self._acc("b", dH.sum(axis=0))
+        return dY @ self._weights().T
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization with node-mask support."""
+    """Per-channel batch normalization over rows."""
 
     def __init__(self, d: int):
         super().__init__()
@@ -123,47 +106,26 @@ class BatchNorm(Layer):
         self.run_mean = np.zeros(d)
         self.run_var = np.ones(d)
 
-    def forward(self, X, mask=None, train=True):
-        orig_shape = X.shape
-        F = X.reshape(-1, orig_shape[-1])
-        w = (
-            np.ones(F.shape[0])
-            if mask is None
-            else mask.reshape(-1).astype(np.float64)
-        )
-        n = max(w.sum(), 1.0)
+    def forward(self, X, train=True):
         if train:
-            mean = (F * w[:, None]).sum(axis=0) / n
-            var = (((F - mean) ** 2) * w[:, None]).sum(axis=0) / n
+            mean = X.mean(axis=0)
+            var = ((X - mean) ** 2).mean(axis=0)
             self.run_mean = BN_MOMENTUM * self.run_mean + (1 - BN_MOMENTUM) * mean
             self.run_var = BN_MOMENTUM * self.run_var + (1 - BN_MOMENTUM) * var
         else:
             mean, var = self.run_mean, self.run_var
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        Xh = (F - mean) * inv
-        out = (Xh * self.p["gamma"] + self.p["beta"]).reshape(orig_shape)
-        if mask is not None:
-            out = out * mask[..., None]
-        return out, (Xh, inv, w, n, orig_shape, train, mask)
+        Xh = (X - mean) * inv
+        return Xh * self.p["gamma"] + self.p["beta"], (Xh, inv, train)
 
     def backward(self, cache, dout):
-        Xh, inv, w, n, orig_shape, train, mask = cache
-        dF = dout.reshape(-1, orig_shape[-1])
-        if mask is not None:
-            dF = dF * w[:, None]
-        self._acc("gamma", (dF * Xh).sum(axis=0))
-        self._acc("beta", dF.sum(axis=0))
-        dXh = dF * self.p["gamma"]
-        if train:
-            term = (
-                dXh
-                - (dXh * w[:, None]).sum(axis=0) / n
-                - Xh * ((dXh * Xh * w[:, None]).sum(axis=0) / n)
-            )
-            dX = term * inv * (w[:, None] if mask is not None else 1.0)
-        else:
-            dX = dXh * inv
-        return dX.reshape(orig_shape)
+        Xh, inv, train = cache
+        self._acc("gamma", (dout * Xh).sum(axis=0))
+        self._acc("beta", dout.sum(axis=0))
+        dXh = dout * self.p["gamma"]
+        if not train:
+            return dXh * inv
+        return (dXh - dXh.mean(axis=0) - Xh * (dXh * Xh).mean(axis=0)) * inv
 
 
 class PReLU(Layer):
@@ -217,22 +179,21 @@ class Linear(Layer):
 
 
 class MaxPoolNodes(Layer):
-    """Dynamic max pooling over the node axis (§3.2) with mask."""
+    """Dynamic max pooling over each packed tree's rows (§3.2): tree
+    ``k`` holds the rows from ``starts[k]`` up to the next start."""
 
-    def forward(self, X, mask):
-        neg = np.where(mask[..., None] > 0, X, -np.inf)
-        arg = neg.argmax(axis=1)  # (B, D)
-        B, M, D = X.shape
-        out = np.take_along_axis(neg, arg[:, None, :], axis=1)[:, 0, :]
-        # all-masked rows (cannot happen for nonempty plans) → zero
-        out = np.where(np.isfinite(out), out, 0.0)
-        return out, (arg, X.shape)
+    def forward(self, X, starts):
+        out = np.maximum.reduceat(X, starts, axis=0)
+        return out, (X, starts, out)
 
     def backward(self, cache, dout):
-        arg, shape = cache
-        dX = np.zeros(shape)
-        B, M, D = shape
-        b_idx = np.repeat(np.arange(B), D)
-        d_idx = np.tile(np.arange(D), B)
-        np.add.at(dX, (b_idx, arg.reshape(-1), d_idx), dout.reshape(-1))
+        """Each channel's gradient goes to the first row of the tree
+        that holds its maximum."""
+        X, starts, out = cache
+        sizes = np.diff(starts, append=X.shape[0])
+        rows = np.arange(X.shape[0])[:, None]
+        at_max = X == np.repeat(out, sizes, axis=0)
+        arg = np.minimum.reduceat(np.where(at_max, rows, X.shape[0]), starts, axis=0)
+        dX = np.zeros_like(X)
+        dX[arg, np.arange(X.shape[1])] = dout
         return dX

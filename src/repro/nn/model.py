@@ -11,17 +11,12 @@ to keep pure-numpy training fast; shape and layer count match.
 The conv stack doubles as the VMF's embedding function (§2.2):
 :meth:`EMF.embed_eval` is what the vector-matching filter indexes.
 
-Training runs on padded batches (:meth:`EMF.embed`,
-:meth:`EMF.forward_pair`, with backward passes), which
-:func:`repro.nn.train.encode_pairs` pads from the converter's packed
-pair batches. Every eval path —
-:meth:`EMF.embed_packed` (behind :meth:`EMF.embed_eval`) and
-:meth:`EMF.predict_proba` — runs on
-:class:`~repro.encoding.instance.Packed` trees instead: one matmul per
-conv layer over all nodes of the batch with no padding rows, children
-added by a gather on output rows, max pooling per tree by
-``np.maximum.reduceat``. The padded eval forward is the tests'
-reference for it.
+Every pass, training and eval, runs on
+:class:`~repro.encoding.instance.Packed` trees: one matmul per conv
+layer over all nodes of the batch with no padding rows, children added
+by a gather on output rows, max pooling per tree by
+``np.maximum.reduceat``, and the raw bag-of-nodes skip as per-tree row
+sums (``np.add.reduceat``).
 """
 from __future__ import annotations
 
@@ -29,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.encoding.instance import Packed
 from repro.nn.layers import (
     BatchNorm,
     Dropout,
@@ -68,7 +64,7 @@ class EMF:
         # FC head consumes [za, zb, |za−zb|, za⊙zb, |ra−rb|]: the two
         # pooled conv summaries, symmetric comparison features, and a
         # parameter-free "raw bag-of-nodes" skip difference (sum of
-        # input NVs over valid nodes). The paper concatenates the two
+        # input NVs over each tree's nodes). The paper concatenates the two
         # summaries only; at our scaled-down training size the explicit
         # comparison features are what lets the net generalize instead
         # of memorize (see DESIGN.md "Substitutions").
@@ -90,14 +86,17 @@ class EMF:
         ]
 
     # -- tree embedding ----------------------------------------------
-    def embed(self, X, L, R, mask, train: bool):
-        h1, c_conv1 = self.conv1.forward(X, L, R, mask)
-        h1, c_bn1 = self.bn1.forward(h1, mask, train)
+    def embed(self, starts, X, left, right, train: bool):
+        """Embeddings (B, h) of B packed trees (the fields of a
+        :class:`~repro.encoding.instance.Packed`): the conv stack on
+        their rows, max-pooled per tree; + cache."""
+        h1, c_conv1 = self.conv1.forward(X, left, right)
+        h1, c_bn1 = self.bn1.forward(h1, train)
         h1, c_act1 = self.act1.forward(h1)
-        h2, c_conv2 = self.conv2.forward(h1, L, R, mask)
-        h2, c_bn2 = self.bn2.forward(h2, mask, train)
+        h2, c_conv2 = self.conv2.forward(h1, left, right)
+        h2, c_bn2 = self.bn2.forward(h2, train)
         h2, c_act2 = self.act2.forward(h2)
-        z, c_pool = self.pool.forward(h2, mask)
+        z, c_pool = self.pool.forward(h2, starts)
         return z, (c_conv1, c_bn1, c_act1, c_conv2, c_bn2, c_act2, c_pool)
 
     def embed_backward(self, cache, dz):
@@ -111,28 +110,19 @@ class EMF:
         self.conv1.backward(c_conv1, d)
 
     def embed_eval(self, starts, X, left, right) -> np.ndarray:
-        """The VMF's embedding of one SF-group (§2.2): :meth:`embed_packed`
-        under its own name. The cascade calls it once per SF-group and
-        nowhere else, so a profile of it counts the VMF's embeddings."""
-        return self.embed_packed(starts, X, left, right)
-
-    def embed_packed(self, starts, X, left, right) -> np.ndarray:
-        """Eval-mode embedding (B, h) of B packed trees (the fields of a
-        :class:`~repro.encoding.instance.Packed`): the conv stack on
-        packed rows, max-pooled per tree."""
-        h = self.conv1.forward_packed(X, left, right)
-        h, _ = self.act1.forward(self.bn1.forward(h, None, train=False)[0])
-        h = self.conv2.forward_packed(h, left, right)
-        h, _ = self.act2.forward(self.bn2.forward(h, None, train=False)[0])
-        return np.maximum.reduceat(h, starts, axis=0)
+        """The VMF's embedding of one SF-group (§2.2): eval-mode
+        :meth:`embed` under its own name. The cascade calls it once per
+        SF-group and nowhere else, so a profile of it counts the VMF's
+        embeddings."""
+        return self.embed(starts, X, left, right, train=False)[0]
 
     # -- pair classification -----------------------------------------
-    def forward_pair(self, a, b, train: bool):
-        """a/b are padded (X, L, R, mask) tuples; returns logits (B,) + cache."""
+    def forward_pair(self, a: Packed, b: Packed, train: bool):
+        """Logits (B,) of B pairs of packed trees + cache."""
         za, ca = self.embed(*a, train)
         zb, cb = self.embed(*b, train)
-        ra = (a[0] * a[3][..., None]).sum(axis=1)
-        rb = (b[0] * b[3][..., None]).sum(axis=1)
+        ra = np.add.reduceat(a.X, a.starts, axis=0)
+        rb = np.add.reduceat(b.X, b.starts, axis=0)
         logits, head = self._head(za, zb, ra, rb, train)
         return logits, (ca, cb, head)
 
@@ -171,16 +161,10 @@ class EMF:
         self.embed_backward(ca, dza)
         self.embed_backward(cb, dzb)
 
-    def predict_proba(self, a, b) -> np.ndarray:
-        """Eval-mode equivalence probabilities (B,) of B pairs; a/b are
-        packed trees (``Packed`` fields), the raw bag-of-nodes skip their
-        per-tree row sums."""
-        (sa, Xa, La, Ra), (sb, Xb, Lb, Rb) = a, b
-        logits, _ = self._head(
-            self.embed_packed(sa, Xa, La, Ra), self.embed_packed(sb, Xb, Lb, Rb),
-            np.add.reduceat(Xa, sa, axis=0), np.add.reduceat(Xb, sb, axis=0),
-            train=False,
-        )
+    def predict_proba(self, a: Packed, b: Packed) -> np.ndarray:
+        """Eval-mode equivalence probabilities (B,) of B pairs of packed
+        trees."""
+        logits, _ = self.forward_pair(a, b, train=False)
         return 1.0 / (1.0 + np.exp(-logits))
 
     # -- persistence --------------------------------------------------

@@ -2,8 +2,9 @@
 
 Labeled plan pairs go through the cascade's pair encoder, the §4.2.1
 converter (:func:`~repro.encoding.agnostic.plan_pair_batches`).
-Training pads its packed batches (:func:`pad_packed`) for Adam + BCE;
-prediction scores them as they come. Metrics are the accuracy,
+Training concatenates its packed batches into one
+:class:`PairTensors` and draws Adam + BCE minibatches from it;
+prediction scores the batches as they come. Metrics are the accuracy,
 precision, recall, F1 and confusion counts of Tables 3–5.
 """
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.core.plan import Plan
 from repro.encoding.agnostic import DEFAULT_SPACE, plan_pair_batches
-from repro.encoding.instance import Packed
+from repro.encoding.instance import Packed, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
@@ -32,58 +33,56 @@ log = logging.getLogger(__name__)
 # --------------------------------------------------------------------------
 
 
-def pad_packed(packed: Packed, m: int):
-    """Packed trees padded to (B, m, D) node matrices + child/mask
-    arrays, child indices made local to each tree; raises
-    ``ValueError`` for a tree of more than ``m`` nodes."""
-    starts, X, left, right = packed
-    sizes = np.diff(starts, append=len(X))
-    if sizes.max() > m:
-        raise ValueError(f"plan with {sizes.max()} nodes exceeds pad size {m}")
-    tree = np.repeat(np.arange(len(starts)), sizes)
-    slot = (tree, np.arange(len(X)) - starts[tree])
-    Xp = np.zeros((len(starts), m, X.shape[1]))
-    Xp[slot] = X
-    L, R = np.full((2, len(starts), m), -1, dtype=np.int32)
-    L[slot], R[slot] = (np.where(c >= 0, c - starts[tree], -1) for c in (left, right))
-    return Xp, L, R, (np.arange(m) < sizes[:, None]).astype(np.float64)
+def take(packed: Packed, trees: np.ndarray) -> Packed:
+    """The trees ``trees`` (indices) of ``packed``, packed in that order."""
+    sizes = packed.sizes[trees]
+    starts = offsets(sizes)
+    shift = np.repeat(packed.starts[trees] - starts, sizes)  # old row − new row
+    rows = np.arange(len(shift)) + shift
+    child = lambda c: np.where(c[rows] >= 0, c[rows] - shift, -1)
+    return Packed(starts, packed.X[rows], child(packed.left), child(packed.right))
+
+
+def concat(parts: list[Packed]) -> Packed:
+    """``parts`` packed one after another, child rows shifted."""
+    base = offsets(np.array([len(p.X) for p in parts], dtype=np.intp))
+    shift = lambda c, k: np.where(c >= 0, c + k, -1)
+    return Packed(
+        np.concatenate([p.starts + k for p, k in zip(parts, base)]),
+        np.concatenate([p.X for p in parts]),
+        np.concatenate([shift(p.left, k) for p, k in zip(parts, base)]),
+        np.concatenate([shift(p.right, k) for p, k in zip(parts, base)]),
+    )
 
 
 @dataclass
 class PairTensors:
-    """Padded tensors for a labeled pair dataset."""
+    """Packed trees of a labeled pair dataset: pair ``k`` is tree ``k``
+    of ``a`` and of ``b``, labelled ``y[k]``."""
 
-    a: tuple  # (X, L, R, mask)
-    b: tuple
+    a: Packed
+    b: Packed
     y: np.ndarray
 
     def __len__(self) -> int:
         return len(self.y)
 
     def subset(self, idx) -> "PairTensors":
-        sel = lambda t: tuple(arr[idx] for arr in t)
-        return PairTensors(sel(self.a), sel(self.b), self.y[idx])
+        return PairTensors(take(self.a, idx), take(self.b, idx), self.y[idx])
 
 
-def encode_pairs(
-    pairs: list[LabeledPair], *, pad_to: int | None = None
-) -> PairTensors:
-    """DB-agnostic pairwise encoding of a labeled dataset (§4.2), padded
-    to the largest node count (at least ``pad_to``). Pairs outside the
-    agnostic space are dropped, as the paper's n/m bound does."""
+def encode_pairs(pairs: list[LabeledPair]) -> PairTensors:
+    """DB-agnostic pairwise encoding of a labeled dataset (§4.2). Pairs
+    outside the agnostic space are dropped, as the paper's n/m bound
+    does."""
     batches = list(plan_pair_batches([(p.p1, p.p2) for p in pairs]))
     if not batches:  # no pair fits: zero pairs
-        m, d = pad_to or 0, DEFAULT_SPACE.nv_size
-        empty = (np.zeros((0, m, d)), *np.full((2, 0, m), -1, np.int32), np.zeros((0, m)))
+        empty = Packed(np.zeros(0, np.intp), np.zeros((0, DEFAULT_SPACE.nv_size)),
+                       np.zeros(0, np.intp), np.zeros(0, np.intp))
         return PairTensors(empty, empty, np.zeros(0))
-    sizes = [np.diff(t.starts, append=len(t.X)) for _, a, b in batches for t in (a, b)]
-    m = max(pad_to or 0, *(s.max() for s in sizes))
-
-    def side(i: int) -> tuple:
-        return tuple(map(np.concatenate, zip(*(pad_packed(batch[i], m) for batch in batches))))
-
-    y = np.array([float(pairs[k].label) for ks, _, _ in batches for k in ks])
-    return PairTensors(side(1), side(2), y)
+    ks, a, b = zip(*batches)
+    y = np.array([float(pairs[k].label) for k in np.concatenate(ks)])
+    return PairTensors(concat(a), concat(b), y)
 
 
 # --------------------------------------------------------------------------

@@ -159,8 +159,3 @@ def implies(premises: Sequence[Constraint], conclusion: Constraint) -> bool:
     if conclusion in premises:
         return True
     return not satisfiable(list(premises) + [conclusion.negate()])
-
-
-def equivalent_sets(a: Sequence[Constraint], b: Sequence[Constraint]) -> bool:
-    """Mutual implication of two conjunctions."""
-    return all(implies(a, c) for c in b) and all(implies(b, c) for c in a)

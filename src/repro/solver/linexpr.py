@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Rational = int | float | Fraction
 _ZERO = Fraction(0)  # immutable, so one instance serves every absent coefficient
@@ -81,9 +81,6 @@ class LinExpr:
     @property
     def columns(self) -> tuple[str, ...]:
         return tuple(c for c, _ in self.coeffs)
-
-    def is_const(self) -> bool:
-        return not self.coeffs
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "LinExpr | Rational") -> "LinExpr":
@@ -196,11 +193,3 @@ class Constraint:
 
     def __repr__(self) -> str:
         return f"({self.expr} {self.op} 0)"
-
-
-def columns_of(constraints: Iterable[Constraint]) -> list[str]:
-    seen: dict[str, None] = {}
-    for c in constraints:
-        for name in c.columns:
-            seen.setdefault(name)
-    return list(seen)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.core.plan import Lower, Plan, lower_each
@@ -110,29 +111,23 @@ class Verifier:
         return False
 
     def _bijections(self, f1: FlatSPJ, f2: FlatSPJ):
-        """All alias maps f2-alias → f1-alias preserving base tables."""
+        """All alias maps f2-alias → f1-alias preserving base tables.
+        Raises ``RuntimeError`` when there are more than
+        :data:`_MAX_BIJECTIONS`, counted before any map is built."""
         by_table_1: dict[str, list[str]] = {}
         for a, t in f1.aliases:
             by_table_1.setdefault(t, []).append(a)
         by_table_2: dict[str, list[str]] = {}
         for a, t in f2.aliases:
             by_table_2.setdefault(t, []).append(a)
-        groups = []
-        total = 1
-        for t, a2s in sorted(by_table_2.items()):
-            perms = list(itertools.permutations(by_table_1[t]))
-            total *= len(perms)
-            if total > _MAX_BIJECTIONS:
-                raise RuntimeError("alias bijection search exceeded budget")
-            groups.append((a2s, perms))
-        for combo in itertools.product(*(perms for _, perms in groups)):
-            mapping: dict[str, str] = {}
-            for (a2s, _), perm in zip(groups, combo):
-                for a2, a1 in zip(a2s, perm):
-                    # Column-level rename: every "a2.col" → "a1.col" is
-                    # handled by _rename_key / Constraint.rename on keys.
-                    mapping[a2] = a1
-            yield mapping
+        tables = sorted(by_table_2)
+        if math.prod(math.factorial(len(by_table_1[t])) for t in tables) > _MAX_BIJECTIONS:
+            raise RuntimeError("alias bijection search exceeded budget")
+        a2s = [a2 for t in tables for a2 in by_table_2[t]]
+        for combo in itertools.product(*(itertools.permutations(by_table_1[t]) for t in tables)):
+            # Column-level rename: every "a2.col" → "a1.col" is handled
+            # by _rename_key / Constraint.rename on keys.
+            yield dict(zip(a2s, itertools.chain.from_iterable(combo)))
 
     def _match(
         self,

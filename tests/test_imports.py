@@ -7,8 +7,8 @@ a string annotation. An import line that carries ``# noqa: F401`` is
 exempt.
 
 The layers below the workload generator never import it, the NN
-stack takes plan tensors only from the encoders' pair batches, and only
-the AV turns a ``RuntimeError`` into a verdict."""
+stack takes plan tensors only from the encoders' pair batches and takes
+no node mask, and only the AV turns a ``RuntimeError`` into a verdict."""
 import ast
 from pathlib import Path
 
@@ -144,3 +144,17 @@ def test_only_the_verifier_handles_runtime_error():
         if _catches_runtime_error(node)
     ]
     assert not bad, "except RuntimeError outside the AV:\n" + "\n".join(bad)
+
+
+# The EMF runs on packed trees only: a node mask is how a padded layout
+# would come back, so no function in repro.nn takes one.
+def test_nn_takes_no_mask():
+    bad = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {arg.arg}"
+        for path in sorted((ROOT / "src" / "repro" / "nn").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and "mask" in arg.arg.lower()
+    ]
+    assert not bad, "repro.nn takes a mask:\n" + "\n".join(bad)

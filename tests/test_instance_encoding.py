@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.plan import JOIN_TYPES, Join, bfs, node_count
+from repro.core.plan import JOIN_TYPES, Join, bfs
 from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import Vocab, encode_tree, norm_const, schema_vocab
 from repro.solver.linexpr import OPS
@@ -35,7 +35,7 @@ def test_segments_partition_vector():
 def test_encode_shapes_and_children():
     v = _ab_vocab()
     enc = encode_tree(fig1_q1(), v)
-    m = node_count(fig1_q1())
+    m = len(list(bfs(fig1_q1())))
     assert enc.X.shape == (m, v.nv_size)
     # BFS: Project, Filter, Filter, Join, ScanA, ScanB
     assert enc.left.tolist() == [1, 2, 3, 4, -1, -1]

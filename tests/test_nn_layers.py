@@ -31,24 +31,26 @@ def num_grad(f, x, eps=1e-6):
     return g
 
 
-def _tree_batch(B=2, M=4, D=3):
-    X = RNG.standard_normal((B, M, D))
-    L = np.array([[1, 2, -1, -1], [1, -1, -1, -1]], dtype=np.int32)
-    R = np.array([[3, -1, -1, -1], [2, -1, -1, -1]], dtype=np.int32)
-    mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
-    return X, L, R, mask
+def _trees(D=3):
+    """Two packed trees: rows 0–3 (root 0 with children 1 and 3, node 1
+    with child 2) and rows 4–6 (root 4 with children 5 and 6)."""
+    X = RNG.standard_normal((7, D))
+    starts = np.array([0, 4])
+    left = np.array([1, 2, -1, -1, 5, -1, -1])
+    right = np.array([3, -1, -1, -1, 6, -1, -1])
+    return starts, X, left, right
 
 
 def test_treeconv_input_grad():
-    X, L, R, mask = _tree_batch()
+    _, X, left, right = _trees()
     layer = TreeConv(3, 5, RNG)
-    dout = RNG.standard_normal((2, 4, 5))
+    dout = RNG.standard_normal((7, 5))
 
     def loss():
-        out, _ = layer.forward(X, L, R, mask)
+        out, _ = layer.forward(X, left, right)
         return float((out * dout).sum())
 
-    out, cache = layer.forward(X, L, R, mask)
+    out, cache = layer.forward(X, left, right)
     layer.zero_grads()
     dX = layer.backward(cache, dout)
     assert np.allclose(dX, num_grad(loss, X), atol=1e-5)
@@ -56,40 +58,47 @@ def test_treeconv_input_grad():
 
 @pytest.mark.parametrize("pname", ["Ws", "Wl", "Wr", "b"])
 def test_treeconv_param_grads(pname):
-    X, L, R, mask = _tree_batch()
+    _, X, left, right = _trees()
     layer = TreeConv(3, 5, RNG)
-    dout = RNG.standard_normal((2, 4, 5))
+    dout = RNG.standard_normal((7, 5))
 
     def loss():
-        out, _ = layer.forward(X, L, R, mask)
+        out, _ = layer.forward(X, left, right)
         return float((out * dout).sum())
 
-    out, cache = layer.forward(X, L, R, mask)
+    out, cache = layer.forward(X, left, right)
     layer.zero_grads()
     layer.backward(cache, dout)
     assert np.allclose(layer.g[pname], num_grad(loss, layer.p[pname]), atol=1e-5)
 
 
-def test_treeconv_masked_nodes_zero():
-    X, L, R, mask = _tree_batch()
+def test_treeconv_matches_triangle_formula():
+    """``H[i] = X[i]·Ws + X[left[i]]·Wl + X[right[i]]·Wr + b``, an
+    absent child adding nothing."""
+    _, X, left, right = _trees()
     layer = TreeConv(3, 5, RNG)
-    out, _ = layer.forward(X, L, R, mask)
-    assert np.all(out[1, 3] == 0)
+    out, _ = layer.forward(X, left, right)
+    p = layer.p
+    for i in range(len(X)):
+        want = X[i] @ p["Ws"] + p["b"]
+        if left[i] >= 0:
+            want = want + X[left[i]] @ p["Wl"]
+        if right[i] >= 0:
+            want = want + X[right[i]] @ p["Wr"]
+        assert np.allclose(out[i], want, atol=1e-12)
 
 
 def test_batchnorm_grads():
-    X = RNG.standard_normal((3, 4, 6))
-    mask = np.ones((3, 4))
-    mask[2, 3] = 0
+    X = RNG.standard_normal((11, 6))
     layer = BatchNorm(6)
     dout = RNG.standard_normal(X.shape)
 
     def loss():
-        out, _ = layer.forward(X, mask, train=True)
+        out, _ = layer.forward(X, train=True)
         return float((out * dout).sum())
 
     # freeze running-stat updates' effect by copying state each call
-    out, cache = layer.forward(X, mask, train=True)
+    out, cache = layer.forward(X, train=True)
     layer.zero_grads()
     dX = layer.backward(cache, dout)
     assert np.allclose(dX, num_grad(loss, X), atol=1e-4)
@@ -101,8 +110,8 @@ def test_batchnorm_eval_uses_running_stats():
     layer = BatchNorm(2)
     X = RNG.standard_normal((50, 2)) * 3 + 1
     for _ in range(30):
-        layer.forward(X, None, train=True)
-    out, _ = layer.forward(X, None, train=False)
+        layer.forward(X, train=True)
+    out, _ = layer.forward(X, train=False)
     assert abs(out.mean()) < 0.3
     assert abs(out.std() - 1.0) < 0.3
 
@@ -140,27 +149,33 @@ def test_linear_grads():
 
 
 def test_maxpool_grads():
-    X = RNG.standard_normal((2, 4, 3))
-    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=np.float64)
+    starts, X, _, _ = _trees()
     layer = MaxPoolNodes()
     dout = RNG.standard_normal((2, 3))
 
     def loss():
-        out, _ = layer.forward(X, mask)
+        out, _ = layer.forward(X, starts)
         return float((out * dout).sum())
 
-    out, cache = layer.forward(X, mask)
+    out, cache = layer.forward(X, starts)
     dX = layer.backward(cache, dout)
     assert np.allclose(dX, num_grad(loss, X), atol=1e-5)
 
 
-def test_maxpool_ignores_masked():
-    X = np.zeros((1, 3, 2))
-    X[0, 2] = 100.0  # masked-out node with huge values
-    mask = np.array([[1, 1, 0]], dtype=np.float64)
+def test_maxpool_stays_within_each_tree():
+    """Each tree pools its own rows only, and its gradient lands on its
+    own rows only, on the first row that holds the maximum."""
+    starts = np.array([0, 2, 5])
+    X = np.array([[1.0, -5.0], [0.0, -3.0],               # tree 0
+                  [100.0, 7.0], [100.0, 2.0], [-1.0, 7.0],  # tree 1: ties
+                  [-9.0, -8.0]])                           # tree 2: one row
     layer = MaxPoolNodes()
-    out, _ = layer.forward(X, mask)
-    assert np.all(out == 0)
+    out, cache = layer.forward(X, starts)
+    np.testing.assert_array_equal(out, [[1.0, -3.0], [100.0, 7.0], [-9.0, -8.0]])
+    dX = layer.backward(cache, np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    np.testing.assert_array_equal(
+        dX, [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [0.0, 0.0], [0.0, 0.0], [5.0, 6.0]]
+    )
 
 
 def test_dropout_train_eval():

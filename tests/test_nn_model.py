@@ -3,7 +3,7 @@ save/load, and actual learning on a small workload."""
 import numpy as np
 import pytest
 
-from repro.encoding.instance import Packed
+from repro.encoding.instance import Packed, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.train import (
     PairTensors,
@@ -14,7 +14,6 @@ from repro.nn.train import (
     encode_pairs,
     evaluate,
     metrics,
-    pad_packed,
     train_emf,
 )
 from repro.workload.labeler import make_dataset
@@ -23,23 +22,21 @@ from repro.workload.schema import TPCH_LITE
 _CFG = EMFConfig(d_in=7, conv=(8, 6), fc=(10, 5), dropout=0.0, seed=3)
 
 
+def _trees(g, B, M, D) -> Packed:
+    """B random packed trees of 1–M rows; children are random rows of
+    the same tree or absent."""
+    sizes = g.integers(1, M + 1, B)
+    starts = offsets(sizes)
+    tree = np.repeat(np.arange(B), sizes)
+    child = lambda: np.where(
+        g.random(len(tree)) < 0.5, starts[tree] + g.integers(0, sizes[tree]), -1
+    )
+    return Packed(starts, g.standard_normal((sizes.sum(), D)), child(), child())
+
+
 def _pair_batch(B=3, M=4, D=7, seed=0):
     g = np.random.default_rng(seed)
-    mk = lambda: (
-        g.standard_normal((B, M, D)),
-        np.where(g.random((B, M)) < 0.5, g.integers(0, M, (B, M)), -1).astype(np.int32),
-        np.full((B, M), -1, dtype=np.int32),
-        np.ones((B, M)),
-    )
-    return mk(), mk(), g.integers(0, 2, B).astype(float)
-
-
-def _packed(X, L, R, mask) -> Packed:
-    """A padded batch whose mask is all ones, as packed trees."""
-    B, M, D = X.shape
-    starts = np.arange(B) * M
-    rows = lambda idx: np.where(idx >= 0, idx + starts[:, None], -1).ravel()
-    return Packed(starts, X.reshape(-1, D), rows(L), rows(R))
+    return _trees(g, B, M, D), _trees(g, B, M, D), g.integers(0, 2, B).astype(float)
 
 
 def test_forward_pair_shape():
@@ -63,8 +60,12 @@ def test_pair_numeric_gradient():
     for layer in model.layers:
         layer.zero_grads()
     model.backward_pair(cache, dlogits)
-    # check a parameter from each depth: conv1.Wl, fc1.W, fc3.b
-    for layer, pname in [(model.conv1, "Wl"), (model.fc1, "W"), (model.fc3, "b")]:
+    # check parameters at every depth, each child path of the convs included
+    checked = [
+        (model.conv1, "Ws"), (model.conv1, "Wl"), (model.conv1, "Wr"), (model.bn1, "gamma"),
+        (model.conv2, "Wr"), (model.act2, "a"), (model.fc1, "W"), (model.fc3, "b"),
+    ]
+    for layer, pname in checked:
         p = layer.p[pname]
         g = np.zeros_like(p)
         it = np.nditer(p, flags=["multi_index"])
@@ -87,15 +88,14 @@ def test_pair_numeric_gradient():
 def test_symmetric_embedding_shared_weights():
     a, b, y = _pair_batch()
     model = EMF(_CFG)
-    za = model.embed_eval(*_packed(*a))
-    zb = model.embed_eval(*_packed(*a))
+    za = model.embed_eval(*a)
+    zb = model.embed_eval(*a)
     assert np.allclose(za, zb)
 
 
 def test_save_load_roundtrip(tmp_path):
     a, b, y = _pair_batch()
     model = EMF(_CFG)
-    a, b = _packed(*a), _packed(*b)
     p1 = model.predict_proba(a, b)
     path = tmp_path / "emf.npz"
     path.write_bytes(model.to_bytes())
@@ -163,12 +163,6 @@ def test_metrics_and_confusion():
     assert m["tnr"] == 0.5
 
 
-def test_pad_packed_rejects_overflow():
-    packed = Packed(np.array([0]), np.zeros((5, 3)), np.full(5, -1), np.full(5, -1))
-    with pytest.raises(ValueError):
-        pad_packed(packed, 3)
-
-
 def test_training_overfits_tiny_synthetic():
     """Random-feature sanity: the net must drive training loss down on
     a tiny fixed dataset (capacity + backprop check)."""
@@ -188,7 +182,7 @@ def test_learns_equivalence_on_real_pairs():
     assert n == len(ds)  # every pair fits the agnostic space: rows are ds's order
     idx = np.arange(n)
     train_idx, test_idx = idx[: int(0.85 * n)], idx[int(0.85 * n) :]
-    cfg = EMFConfig(d_in=data.a[0].shape[2], conv=(64, 48), fc=(48, 24),
+    cfg = EMFConfig(d_in=data.a.X.shape[1], conv=(64, 48), fc=(48, 24),
                     dropout=0.2, seed=0)
     model = EMF(cfg)
     train_emf(model, data.subset(train_idx), epochs=30, batch_size=64, seed=2)

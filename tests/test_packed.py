@@ -1,12 +1,14 @@
-"""Parity of the packed eval path (no padding) with the padded reference.
+"""Parity of the batched packed path with each tree scored alone.
 
 The VMF's embeddings and the EMF's scores run on packed SF-groups
 (``instance_group`` → column maps → ``EMF.embed_eval`` /
-``EMF.predict_proba``). The padded forward (``EMF.embed(train=False)``,
-``EMF.forward_pair``) on directly encoded plans is the reference: on
-every SF-group of the Table 1 pool and on an out-of-space group, the
-two agree to rounding, and every decision the cascade takes from them
-is identical."""
+``EMF.predict_proba``), many trees per batch. The reference encodes
+each plan directly and embeds it alone as a one-tree batch (each pair
+alone as a one-pair batch): on every SF-group of the Table 1 pool and
+on an out-of-space group, the two agree to rounding, and every decision
+the cascade takes from them is identical. Training tensors are the
+converter's batches concatenated, and a subset of them equals the
+subset's pairs encoded directly."""
 import itertools
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.encoding.canonical_form import canonical_plan
 from repro.experiments.table1 import planted_pool
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
+from repro.encoding.instance import Packed, pack_encs
 from repro.filters.vmf import (
     TARGET_RECALL,
     calibrate_tau,
@@ -45,49 +48,31 @@ def pool(emf_model):
     return planted_pool(emf_model, n_subexpr=320, n_equiv=50, seed=100)
 
 
-def pad(encs, m: int):
-    """Direct encodings padded to (B, m, ·) node matrices, child
-    indices and masks."""
-    X = np.zeros((len(encs), m, encs[0].X.shape[1]))
-    L = np.full((len(encs), m), -1, dtype=np.int32)
-    R = np.full((len(encs), m), -1, dtype=np.int32)
-    mask = np.zeros((len(encs), m))
-    for i, e in enumerate(encs):
-        k = len(e.X)
-        X[i, :k], L[i, :k], R[i, :k], mask[i, :k] = e.X, e.left, e.right, 1.0
-    return X, L, R, mask
-
-
-def padded_embeddings(model, plans) -> np.ndarray:
+def single_embeddings(model, plans) -> np.ndarray:
+    """Each plan of a group encoded directly and embedded alone."""
     encs = encode_group_agnostic([canonical_plan(p) for p in plans])
-    z, _ = model.embed(*pad(encs, max(len(e.X) for e in encs)), train=False)
-    return z
+    return np.concatenate([model.embed_eval(*pack_encs([e])) for e in encs])
 
 
-def padded_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
-    """Each pair encoded from scratch, padded and scored by
-    ``forward_pair``; an out-of-space pair scores 1.0 and is counted."""
-    out = np.ones(len(pairs))
-    ks, encs = [], []
+def single_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
+    """Each pair encoded directly and scored alone; an out-of-space
+    pair scores 1.0 and is counted."""
+    out, skipped = np.ones(len(pairs)), 0
     for k, (i, j) in enumerate(pairs):
         try:
-            encs.append(encode_pair_agnostic(canonical_plan(plans[i]), canonical_plan(plans[j])))
+            ea, eb = encode_pair_agnostic(canonical_plan(plans[i]), canonical_plan(plans[j]))
         except ValueError:
+            skipped += 1
             continue
-        ks.append(k)
-    for s in range(0, len(ks), PAIR_BATCH):
-        ea, eb = zip(*encs[s : s + PAIR_BATCH])
-        m = max(e.X.shape[0] for e in ea + eb)
-        logits, _ = model.forward_pair(pad(ea, m), pad(eb, m), train=False)
-        out[ks[s : s + PAIR_BATCH]] = 1.0 / (1.0 + np.exp(-logits))
-    return out, len(pairs) - len(ks)
+        out[k] = model.predict_proba(pack_encs([ea]), pack_encs([eb]))[0]
+    return out, skipped
 
 
 def survivors(pairs, scores) -> set:
     return {p for p, s in zip(pairs, scores) if s >= EMF_THRESHOLD}
 
 
-def test_packed_path_matches_padded_on_table1_groups(emf_model, pool):
+def test_packed_path_matches_single_trees_on_table1_groups(emf_model, pool):
     plans, tau = pool
     groups = [ids for ids in sf_groups(plans).values() if len(ids) > 1]
     assert len(groups) == 10
@@ -96,13 +81,13 @@ def test_packed_path_matches_padded_on_table1_groups(emf_model, pool):
         local = [plans[i] for i in ids]
         group = instance_group(local)
         z = embed_group(emf_model, group)
-        z_ref = padded_embeddings(emf_model, local)
+        z_ref = single_embeddings(emf_model, local)
         assert np.abs(z - z_ref).max() <= TOL
         assert radius_join(z, tau) == radius_join(z_ref, tau)
 
         pairs = list(itertools.combinations(range(len(local)), 2))
         scores, passed = emf_scores(emf_model, pairs, group)
-        reference, out = padded_scores(emf_model, local, pairs)
+        reference, out = single_scores(emf_model, local, pairs)
         assert np.abs(scores - reference).max() <= TOL
         assert survivors(pairs, scores) == survivors(pairs, reference)
         assert passed == out == 0
@@ -121,15 +106,21 @@ def test_packed_path_out_of_space(emf_model):
         encode_group_agnostic([canonical_plan(p) for p in plans])
     pairs = list(itertools.combinations(range(4), 2))
     scores, passed = emf_scores(emf_model, pairs, group)
-    reference, out = padded_scores(emf_model, plans, pairs)
+    reference, out = single_scores(emf_model, plans, pairs)
     assert passed == out == 5
     assert all(scores[k] == 1.0 for k in range(5))  # (2, 3) is last
     assert abs(scores[5] - reference[5]) <= TOL and scores[5] < 1.0
 
 
+def _assert_packed_equal(got: Packed, want: Packed) -> None:
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
 def test_encode_pairs_matches_direct_encoder():
     """Training tensors come from the converter's pair batches; they
-    equal each pair encoded directly and padded, value for value, and
+    equal each pair encoded directly and packed, value for value, and
     an out-of-space pair is dropped from both."""
     ds = make_dataset(TPCH_LITE, 150, 150, seed=3)
     pairs = ds[:100] + [LabeledPair(_wide_plan(8, 1.0), _wide_plan(2, 2.0), True)] + ds[100:]
@@ -142,14 +133,26 @@ def test_encode_pairs_matches_direct_encoder():
             continue
         y.append(float(p.label))
     assert len(encs) == len(pairs) - 1
-    m = max(len(e.X) for pair in encs for e in pair) + 3
-    data = encode_pairs(pairs, pad_to=m)
+    data = encode_pairs(pairs)
     ea, eb = zip(*encs)
-    for got, want in ((data.a, pad(ea, m)), (data.b, pad(eb, m))):
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
+    _assert_packed_equal(data.a, pack_encs(ea))
+    _assert_packed_equal(data.b, pack_encs(eb))
     np.testing.assert_array_equal(data.y, y)
+
+
+def test_subset_matches_encoding_the_subset():
+    """A minibatch gathered from the concatenated batches is bit-for-bit
+    the tensors of its pairs encoded on their own, across batch
+    boundaries and in any order."""
+    ds = make_dataset(TPCH_LITE, 150, 150, seed=3)
+    data = encode_pairs(ds)
+    assert len(data) == len(ds) > PAIR_BATCH
+    idx = np.random.default_rng(0).permutation(len(ds))[:70]
+    assert (idx < PAIR_BATCH).any() and (idx >= PAIR_BATCH).any()
+    got, want = data.subset(idx), encode_pairs([ds[k] for k in idx])
+    _assert_packed_equal(got.a, want.a)
+    _assert_packed_equal(got.b, want.b)
+    np.testing.assert_array_equal(got.y, want.y)
 
 
 @pytest.mark.parametrize("wide", [0, 1])
@@ -157,10 +160,11 @@ def test_encode_pairs_without_a_fitting_pair(wide):
     """No pair, or only a pair of 8-column plans (outside the 6×7
     space): the tensors hold zero pairs and training takes no step."""
     pairs = [LabeledPair(_wide_plan(8, 1.0), _wide_plan(8, 2.0), True)] * wide
-    data = encode_pairs(pairs, pad_to=5)
+    data = encode_pairs(pairs)
     assert len(data) == 0
-    assert data.a[0].shape == data.b[0].shape == (0, 5, DEFAULT_SPACE.nv_size)
-    assert all(t.shape == (0, 5) for t in data.a[1:] + data.b[1:])
+    for side in (data.a, data.b):
+        assert side.starts.shape == side.left.shape == side.right.shape == (0,)
+        assert side.X.shape == (0, DEFAULT_SPACE.nv_size)
     cfg = EMFConfig(d_in=DEFAULT_SPACE.nv_size, conv=(4, 4), fc=(4, 2), dropout=0.0, seed=3)
     model = EMF(cfg)
     before = model.to_bytes()
@@ -170,24 +174,24 @@ def test_encode_pairs_without_a_fitting_pair(wide):
 
 def test_predict_scores_plan_pairs(emf_model):
     """``train.predict`` (Tables 3 and 4, SSFL) scores plan pairs in the
-    converter's packed batches; it agrees with the padded
-    ``forward_pair`` on the same pairs' training tensors."""
+    converter's packed batches; it agrees with ``forward_pair`` on the
+    same pairs' training tensors."""
     ds = make_dataset(TPCH_LITE, 150, 150, seed=3)
     data = encode_pairs(ds)
-    assert len(data) > 256  # more than one batch, padded to one node count
+    assert len(data) > PAIR_BATCH  # more than one batch, concatenated
     pos, proba = predict(emf_model, [(p.p1, p.p2) for p in ds])
     np.testing.assert_array_equal(pos, np.arange(len(ds)))
     logits, _ = emf_model.forward_pair(data.a, data.b, train=False)
     np.testing.assert_allclose(proba, 1.0 / (1.0 + np.exp(-logits)), rtol=0, atol=TOL)
 
 
-def test_pair_distances_match_padded(emf_model):
+def test_pair_distances_match_single_trees(emf_model):
     """τ calibration embeds its pairs in packed pair batches; each
-    pair's distance, and so τ, matches the pair embedded alone as a
-    padded two-plan group (the Table 1 pool's calibration pairs)."""
+    pair's distance, and so τ, matches the pair's two plans embedded
+    alone (the Table 1 pool's calibration pairs)."""
     pairs = [(p.p1, p.p2) for p in make_positive_pairs(TPCDS_LITE, 80, seed=101)]
     reference = np.array([np.linalg.norm(z[0] - z[1]) for z in
-                          (padded_embeddings(emf_model, pair) for pair in pairs)])
+                          (single_embeddings(emf_model, pair) for pair in pairs)])
     dists = pair_distances(emf_model, pairs)
     assert not np.isnan(dists).any()
     assert np.abs(dists - reference).max() <= TOL

@@ -4,6 +4,8 @@ The headline case is Figure 1 from the paper: two syntactically
 different subexpressions that the AV must prove equivalent. Soundness
 is cross-validated against the randomized DuckDB model checker.
 """
+import itertools
+
 import pytest
 
 from repro.core.pipeline import geqo_set_local
@@ -188,10 +190,11 @@ def _disequalities():
     return Project((Col("A", "x"),), q)
 
 
-def _self_join_chain():
-    """8 aliases of one table: 8! bijections, over the search budget."""
+def _self_join_chain(n: int = 8):
+    """``n`` aliases of one table: n! bijections, over the search budget
+    from 8 on."""
     q = Scan("A", "a0")
-    for k in range(1, 8):
+    for k in range(1, n):
         q = Join(q, Scan("A", f"a{k}"),
                  Comparison(Col(f"a{k - 1}", "k"), "=", Col(f"a{k}", "k")))
     return Project((Col("a0", "k"),), q)
@@ -216,3 +219,15 @@ def test_unknown_pair_is_counted_not_reported(make):
     res = geqo_set_local(plans, None, filters=("SF",))
     assert res.pairs == {(1, 3)}
     assert res.av_unknown == 1 and res.av_pairs_checked == 2
+
+
+def test_bijection_budget_counted_before_any_permutation(monkeypatch):
+    """A 10-alias chain (3.6 M bijections) answers None without building
+    one permutation; within the budget the search still runs."""
+    built = []
+    real = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations", lambda xs: built.append(1) or real(xs))
+    assert Verifier().equivalent(_self_join_chain(10), _self_join_chain(10)) is None
+    assert not built
+    assert Verifier().equivalent(_self_join_chain(4), _self_join_chain(4)) is True
+    assert built
