@@ -21,15 +21,14 @@ import itertools
 
 from repro.baselines.signature import canonical_alias_names
 from repro.core.plan import Plan
-from repro.verifier.canonical import FlatSPJ, flatten
+from repro.core.record import PlanRecord, flatten
 
 
 def _canonical_form(plan: Plan) -> tuple | None:
     """Hashable normalized form under the fixed rule set, or None for
     shapes the rule set does not handle (non-inner joins)."""
-    try:
-        f: FlatSPJ = flatten(plan)
-    except ValueError:
+    f = flatten(PlanRecord(plan))
+    if f is None:
         return None
     names = canonical_alias_names(f.aliases)
 

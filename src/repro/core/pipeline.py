@@ -1,17 +1,17 @@
 """The GEqO cascade (§2.2): SF → VMF → EMF → AV.
 
 The SF keys every subexpression on the driver, and every later stage
-works inside one SF-group: :func:`cascade_group`. Per plan, it lowers
-each predicate once (:func:`repro.core.plan.lowering`) for the
-canonical order, the encoder and the AV; canonicalizes and encodes the
-plan once for both the VMF and the EMF; and flattens it at most once
-for the AV. Per pair come the radius join, the EMF's column map and
-head, and the AV's bijection search and FM checks. The lowering and
-the encoding are timed with the first model filter in the cascade
-(with the AV when there is none), and flattening with the AV. Nothing
-prepared outlives the call. The two implementations of ``GEqO_SET``
-(Equation 1) take the same SF-groups and differ only in how they map
-it:
+works inside one SF-group: :func:`cascade_group`. It makes one record
+per plan (:mod:`repro.core.record`) that every stage reads, so a plan
+is decomposed, its predicates lowered, and it is canonicalized and
+encoded once for both the VMF and the EMF; the AV flattens it and
+decides its satisfiability at most once. Per pair come the radius
+join, the EMF's column map and head, and the AV's bijection search and
+FM checks. A record's parts are computed on first use: the encoding is
+timed with the first model filter (with the AV when there is none),
+flattening and satisfiability with the AV. Nothing prepared outlives
+the call. The two implementations of ``GEqO_SET`` (Equation 1) take
+the same SF-groups and differ only in how they map it:
 
 - :func:`geqo_set_spark` — one Spark stage without a shuffle: an RDD of
   ``(ids, plans)`` per SF-group, ``mapPartitions`` with the model
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
-from repro.core.plan import Plan, lowering
+from repro.core.plan import Plan
+from repro.core.record import records
 from repro.encoding.agnostic import instance_group
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
@@ -110,9 +111,9 @@ def cascade_group(
     if "SF" in filters:
         res.survivors["SF"] = len(pairs)
     t0 = time.perf_counter()
-    lower = lowering()  # one constraint per predicate, for every stage
+    recs = records(plans)  # one record per plan, read by every stage
     if "VMF" in filters or "EMF" in filters:
-        group = instance_group(plans, lower)  # timed with the first model filter
+        group = instance_group(recs)  # timed with the first model filter
     if "VMF" in filters:
         found, res.passthrough["VMF"] = group_pairs(model, group, tau=tau)
         pairs = sorted(found)
@@ -126,7 +127,7 @@ def cascade_group(
         res.survivors["EMF"] = len(pairs)
 
     t0 = time.perf_counter()
-    with verifier.prepared(lower):
+    with verifier.prepared(recs):
         for i, j in pairs:
             verdict = verifier.equivalent(plans[i], plans[j])
             if verdict:

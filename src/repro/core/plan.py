@@ -149,29 +149,6 @@ class Comparison:
 Lower = Callable[[Comparison], Constraint]
 
 
-def lowering() -> Lower:
-    """:meth:`Comparison.to_constraint`, run once per predicate object.
-
-    The memo is keyed by identity and holds each predicate, so no id is
-    reused while it lives. Make one per call and drop it with the call:
-    plans are reused between calls, and a longer-lived memo would hide
-    their lowering cost."""
-    memo: dict[int, tuple[Comparison, Constraint]] = {}
-
-    def lower(pred: Comparison) -> Constraint:
-        hit = memo.get(id(pred))
-        if hit is None:
-            hit = memo[id(pred)] = (pred, pred.to_constraint())
-        return hit[1]
-
-    return lower
-
-
-def lower_each(pred: Comparison) -> Constraint:
-    """The memo-free :data:`Lower`: lowers ``pred`` on every call."""
-    return pred.to_constraint()
-
-
 # --------------------------------------------------------------------------
 # Plan nodes
 # --------------------------------------------------------------------------
@@ -326,7 +303,8 @@ def rename_aliases(plan: Plan, mapping: Mapping[str, str]) -> Plan:
 def decompose(plan: Plan):
     """(alias→table, join preds, filter preds, projection), each in BFS
     order, of an SPJ plan: a root ``Project`` over scans, filters and
-    inner joins. Any other plan raises ``ValueError``."""
+    inner joins, each alias scanned once. Any other plan raises
+    ``ValueError``."""
     if not isinstance(plan, Project):
         raise ValueError("expected root Project")
     aliases: dict[str, str] = {}
@@ -334,6 +312,8 @@ def decompose(plan: Plan):
     filter_preds: list[Comparison] = []
     for n in bfs(plan):
         if isinstance(n, Scan):
+            if n.alias in aliases:
+                raise ValueError(f"alias {n.alias!r} is scanned twice")
             aliases[n.alias] = n.table
         elif isinstance(n, Join):
             if n.jointype != "inner":

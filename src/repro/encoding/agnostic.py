@@ -16,8 +16,9 @@ Two encoders assign these slots, and must agree bit-for-bit (tested):
 - **converter** (§4.2.1) — transform already-computed instance
   matrices. This is the paper's "lightweight converter" that avoids
   re-walking every plan per pair, and the cascade runs on it:
-  :func:`instance_group` encodes each plan of an SF-group once and
-  packs the node rows of all its plans, with no padding, into an
+  :func:`instance_group` encodes the canonical plan of each plan record
+  (:mod:`repro.core.record`) of an SF-group once and packs the node
+  rows of all its plans, with no padding, into an
   :class:`InstanceGroup` that keeps each plan's ``m_T``/``m_C`` masks
   of referenced tables and columns. The slots of a set of plans are
   ranks in the union of their masks, so the converter is a column map
@@ -35,9 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.plan import JOIN_TYPES, Lower, Plan, lowering
+from repro.core.plan import JOIN_TYPES, Plan
+from repro.core.record import PlanRecord, records
 from repro.core.subexpr import referenced_by_table
-from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import Packed, TreeEnc, Vocab, encode_tree, offsets, pack_encs
 from repro.solver.linexpr import OPS
 
@@ -158,16 +159,13 @@ def pack_group(encs: list[TreeEnc], vocab: Vocab) -> InstanceGroup:
     )
 
 
-def instance_group(plans: list[Plan], lower: Lower | None = None) -> InstanceGroup:
-    """Canonicalize and instance-encode each plan of a group once, over
-    the group's referenced tables and columns (no space bound: this
-    never raises). The canonical order and the encoding share one
-    lowering per predicate: ``lower``, or a fresh :func:`lowering`."""
-    lower = lower or lowering()
-    canon = [canonical_plan(p, lower) for p in plans]
-    tables = sorted(cols := referenced_by_table(canon))
+def instance_group(recs: list[PlanRecord]) -> InstanceGroup:
+    """Instance-encode the canonical plan of each record once, over the
+    group's referenced tables and columns (no space bound: this never
+    raises), lowering each predicate through its record."""
+    tables = sorted(cols := referenced_by_table([r.canonical for r in recs]))
     vocab = Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
-    return pack_group([encode_tree(p, vocab, lower) for p in canon], vocab)
+    return pack_group([encode_tree(r.canonical, vocab, r.constraint) for r in recs], vocab)
 
 
 def _slots(group: InstanceGroup, T: np.ndarray, C: np.ndarray):
@@ -270,5 +268,5 @@ def plan_pair_batches(
     are prepared as one :func:`instance_group`, and pair ``k`` is the
     index pair ``(2k, 2k + 1)``."""
     if pairs:
-        group = instance_group([p for pair in pairs for p in pair])
+        group = instance_group(records([p for pair in pairs for p in pair]))
         yield from pair_batches(group, [(2 * k, 2 * k + 1) for k in range(len(pairs))])

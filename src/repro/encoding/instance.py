@@ -45,8 +45,8 @@ from repro.core.plan import (
     Scan,
     alias_map,
     bfs,
-    lower_each,
 )
+from repro.core.record import PlanRecord
 from repro.solver.linexpr import OPS, Constraint
 
 
@@ -228,9 +228,10 @@ def _encode_constraint(
             vec[vocab.off_null] = 1.0
 
 
-def encode_tree(plan: Plan, vocab: Vocab, lower: Lower = lower_each) -> TreeEnc:
+def encode_tree(plan: Plan, vocab: Vocab, lower: Lower | None = None) -> TreeEnc:
     """The node matrix of ``plan`` over ``vocab``; each predicate is
-    lowered through ``lower``."""
+    lowered through ``lower``, by default a fresh record of ``plan``."""
+    lower = lower or PlanRecord(plan).constraint
     amap = alias_map(plan)
     nodes = list(bfs(plan))
     index = {id(n): i for i, n in enumerate(nodes)}

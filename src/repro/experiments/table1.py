@@ -18,6 +18,7 @@ from repro.baselines.optimizer_rules import optimizer_set
 from repro.baselines.signature import signature_set
 from repro.core.pipeline import geqo_set_local
 from repro.core.plan import Plan
+from repro.core.record import records
 from repro.encoding.agnostic import instance_group
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_pairs
@@ -178,7 +179,7 @@ def run(
 
     # ---- EMF standalone (converter fast path over all pairs) --------
     t0 = time.perf_counter()
-    proba, _ = emf_scores(model, all_pairs, instance_group(plans))
+    proba, _ = emf_scores(model, all_pairs, instance_group(records(plans)))
     emf_pairs = {p for p, s in zip(all_pairs, proba) if s >= EMF_THRESHOLD}
     t_emf = time.perf_counter() - t0
     tpr, tnr = _rates(emf_pairs, truth, len(all_pairs))

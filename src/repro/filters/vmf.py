@@ -24,6 +24,7 @@ import itertools
 import numpy as np
 
 from repro.core.plan import Plan
+from repro.core.record import records
 from repro.encoding.agnostic import (
     InstanceGroup,
     group_agnostic,
@@ -95,7 +96,7 @@ def candidate_pairs(
     for idxs in sf_groups(plans).values():
         if len(idxs) < 2:
             continue
-        pairs, _ = group_pairs(model, instance_group([plans[i] for i in idxs]), tau=tau)
+        pairs, _ = group_pairs(model, instance_group(records([plans[i] for i in idxs])), tau=tau)
         out.update((idxs[a], idxs[b]) for a, b in pairs)
     return out
 

@@ -3,7 +3,7 @@
 Decides semantic equivalence of two SPJ subexpressions under bag
 semantics:
 
-1. Flatten both plans (:mod:`repro.verifier.canonical`). Base-table
+1. Flatten both plans (:func:`repro.core.record.flatten`). Base-table
    multisets and projection arities must match.
 2. Search base-table-preserving alias bijections. Under a bijection the
    plans are equivalent iff their constraint conjunctions are mutually
@@ -21,14 +21,13 @@ outside the SPJ fragment, the bijection budget, FM's ``SolverError``)
 answers unknown, ``None``, rather than raising.
 
 Cost: exponential in alias-group sizes and in FM variable count —
-mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. Flattening is
-per plan: inside :meth:`Verifier.prepared` each plan is flattened at
-most once, however many pairs it is in, from predicates lowered once
-for the whole call (:func:`repro.core.plan.lowering`). Everything else
-is per pair: the table and arity checks, each plan's satisfiability,
-the bijection search and the implication checks. An implication whose
-conclusion is one of its premises costs no FM run
-(:func:`repro.solver.fm.implies`). ``Verifier`` counts solver
+mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. A plan's
+record (:mod:`repro.core.record`: the call's inside
+:meth:`Verifier.prepared`, a fresh one otherwise) is flattened and its
+satisfiability decided at most once, however many pairs it is in. Per
+pair are the table and arity checks, the bijection search and the
+implication checks; one whose conclusion is among its premises costs no
+FM run (:func:`repro.solver.fm.implies`). ``Verifier`` counts solver
 invocations, those included, so experiments can report work done.
 """
 from __future__ import annotations
@@ -38,10 +37,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from repro.core.plan import Lower, Plan, lower_each
+from repro.core.plan import Plan
+from repro.core.record import FlatSPJ, PlanRecord, flatten
 from repro.solver.fm import implies, satisfiable
 from repro.solver.linexpr import Constraint, LinExpr
-from repro.verifier.canonical import FlatSPJ, flatten
 
 _MAX_BIJECTIONS = 20_000
 
@@ -51,82 +50,72 @@ class Verifier:
     """Stateful AV with invocation counters (for cost accounting)."""
 
     solver_calls: int = 0
-    # inside ``prepared``: (plan id → (plan, flat form or None), lowering)
-    _prep: tuple[dict, Lower] | None = field(default=None, init=False, repr=False)
+    # inside ``prepared``: plan id → the call's record of that plan
+    _records: dict = field(default_factory=dict, init=False, repr=False)
 
     def equivalent(self, p1: Plan, p2: Plan) -> bool | None:
         """Proved (True), refuted (False) or unknown (None)."""
-        f1, f2 = self._flat(p1), self._flat(p2)
-        if f1 is None or f2 is None:
+        r1, r2 = recs = [self._records.get(id(p)) or PlanRecord(p) for p in (p1, p2)]
+        for r in recs:
+            if "flat" not in vars(r):  # None outside the verifier's fragment
+                r.flat = flatten(r)
+        if r1.flat is None or r2.flat is None:
             return None
         try:
-            return self._equivalent_flat(f1, f2)
+            return self._equivalent(r1, r2)
         except RuntimeError:  # the bijection budget, or FM's SolverError
             return None
 
     @contextlib.contextmanager
-    def prepared(self, lower: Lower):
-        """Within the block, flatten each plan at most once (by identity),
-        lowering its predicates through ``lower``; the flat forms are
-        dropped on exit."""
-        self._prep = ({}, lower)
+    def prepared(self, recs: list[PlanRecord]):
+        """Within the block, check the plans of ``recs`` through their
+        records; the verifier lets go of them on exit."""
+        self._records = {id(r.plan): r for r in recs}
         try:
             yield
         finally:
-            self._prep = None
+            self._records = {}
 
     # -- internals ----------------------------------------------------
-    def _flat(self, plan: Plan) -> FlatSPJ | None:
-        """``plan``'s flat form; None outside the verifier's fragment
-        (non-inner joins, no root Project)."""
-        memo, lower = self._prep or ({}, lower_each)
-        if id(plan) not in memo:
-            try:
-                memo[id(plan)] = (plan, flatten(plan, lower))
-            except ValueError:
-                memo[id(plan)] = (plan, None)
-        return memo[id(plan)][1]
+    def _sat(self, rec: PlanRecord) -> bool:
+        """Whether the record's plan selects anything, decided on first
+        use; a ``SolverError`` propagates and leaves it undecided."""
+        if rec.sat is None:
+            self.solver_calls += 1
+            rec.sat = satisfiable(list(rec.flat.constraints))
+        return rec.sat
 
-    def _equivalent_flat(self, f1: FlatSPJ, f2: FlatSPJ) -> bool:
-        t1 = sorted(t for _, t in f1.aliases)
-        t2 = sorted(t for _, t in f2.aliases)
-        if t1 != t2 or len(f1.projection) != len(f2.projection):
+    def _equivalent(self, r1: PlanRecord, r2: PlanRecord) -> bool:
+        f1, f2 = r1.flat, r2.flat
+        if (len(f1.projection) != len(f2.projection)
+                or [(t, len(a)) for t, a in r1.alias_groups]
+                != [(t, len(a)) for t, a in r2.alias_groups]):
             return False
-        if not self._sat(f1.constraints) and not self._sat(f2.constraints):
+        if not self._sat(r1) and not self._sat(r2):
             # Both select nothing on every instance — vacuously equivalent.
             return True
-        for mapping in self._bijections(f1, f2):
-            # Lift the alias-level bijection to column-key level
-            # ("a2.col" → "a1.col") for LinExpr renaming.
-            keys = {
-                k
-                for c in f2.constraints
-                for k in c.columns
-            } | set(f2.projection)
+        # Lift each alias-level bijection to column-key level
+        # ("a2.col" → "a1.col") for LinExpr renaming.
+        keys = {k for c in f2.constraints for k in c.columns} | set(f2.projection)
+        for mapping in self._bijections(r1, r2):
             key_map = {k: _rename_key(k, mapping) for k in keys}
             renamed_cs = tuple(c.rename(key_map) for c in f2.constraints)
-            renamed_proj = tuple(_rename_key(k, mapping) for k in f2.projection)
+            renamed_proj = tuple(key_map[k] for k in f2.projection)
             if self._match(f1, renamed_cs, renamed_proj):
                 return True
         return False
 
-    def _bijections(self, f1: FlatSPJ, f2: FlatSPJ):
-        """All alias maps f2-alias → f1-alias preserving base tables.
-        Raises ``RuntimeError`` when there are more than
-        :data:`_MAX_BIJECTIONS`, counted before any map is built."""
-        by_table_1: dict[str, list[str]] = {}
-        for a, t in f1.aliases:
-            by_table_1.setdefault(t, []).append(a)
-        by_table_2: dict[str, list[str]] = {}
-        for a, t in f2.aliases:
-            by_table_2.setdefault(t, []).append(a)
-        tables = sorted(by_table_2)
-        if math.prod(math.factorial(len(by_table_1[t])) for t in tables) > _MAX_BIJECTIONS:
+    @staticmethod
+    def _bijections(r1: PlanRecord, r2: PlanRecord):
+        """All alias maps r2-alias → r1-alias preserving base tables, for
+        records with the same table multiset. Raises ``RuntimeError``
+        when there are more than :data:`_MAX_BIJECTIONS`, counted before
+        any map is built."""
+        groups = [aliases for _, aliases in r1.alias_groups]
+        if math.prod(math.factorial(len(a)) for a in groups) > _MAX_BIJECTIONS:
             raise RuntimeError("alias bijection search exceeded budget")
-        a2s = [a2 for t in tables for a2 in by_table_2[t]]
-        for combo in itertools.product(*(itertools.permutations(by_table_1[t]) for t in tables)):
-            # Column-level rename: every "a2.col" → "a1.col" is handled
-            # by _rename_key / Constraint.rename on keys.
+        a2s = [a2 for _, aliases in r2.alias_groups for a2 in aliases]
+        for combo in itertools.product(*(itertools.permutations(a) for a in groups)):
             yield dict(zip(a2s, itertools.chain.from_iterable(combo)))
 
     def _match(
@@ -161,10 +150,6 @@ class Verifier:
             if not implies(list(b), c):
                 return False
         return True
-
-    def _sat(self, cs) -> bool:
-        self.solver_calls += 1
-        return satisfiable(list(cs))
 
 
 def _rename_key(key: str, mapping: dict[str, str]) -> str:

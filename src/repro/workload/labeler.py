@@ -31,7 +31,7 @@ from repro.core.plan import (
 )
 from repro.filters.schema_filter import sf_key
 from repro.solver.fm import SolverError, satisfiable
-from repro.verifier.canonical import flatten
+from repro.core.record import PlanRecord, flatten
 from repro.workload.generator import random_base_plan
 from repro.workload.rewrites import REWRITES, equivalent_variant
 from repro.workload.schema import Schema
@@ -52,9 +52,10 @@ def plan_satisfiable(plan: Plan) -> bool:
     """Whether the plan's predicate conjunction has any model. Plans the
     verifier cannot flatten (non-inner joins) or the solver cannot decide
     are kept."""
+    flat = flatten(PlanRecord(plan))
     try:
-        return satisfiable(list(flatten(plan).constraints))
-    except (ValueError, SolverError):
+        return flat is None or satisfiable(list(flat.constraints))
+    except SolverError:
         return True
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
+from repro.core.record import PlanRecord, records
 from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic, instance_group
-from repro.encoding.canonical_form import canonical_plan
 from repro.encoding.instance import pack_encs
 from repro.filters import vmf as vmf_module
 from repro.filters.emf_filter import emf_scores
@@ -109,7 +109,7 @@ def test_vmf_group_pairs_pass_out_of_space_groups_through(monkeypatch):
         raise ValueError("group exceeds the agnostic space")
 
     monkeypatch.setattr(vmf_module, "group_candidate_pairs", out_of_space)
-    group = instance_group([fig1_q1(), fig1_q2(), fig1_q1()])
+    group = instance_group(records([fig1_q1(), fig1_q2(), fig1_q1()]))
     assert group_pairs(None, group, tau=1.0) == ({(0, 1), (0, 2), (1, 2)}, 1)
 
 
@@ -118,7 +118,7 @@ def test_vmf_candidates_are_the_exact_radius_join(emf_model, tau, workload):
         local = [workload.plans[i] for i in idxs]
         if len(local) < 2:
             continue
-        group = instance_group(local)
+        group = instance_group(records(local))
         Z = vmf_module.embed_group(emf_model, group)
         assert group_pairs(emf_model, group, tau=tau) == (_brute_force_radius(Z, tau), 0)
 
@@ -156,7 +156,7 @@ def test_pair_distances_nan_out_of_space_and_calibrate_skips_it(emf_model):
 
 def test_emf_scores_shape_and_range(emf_model, workload):
     pairs = sorted(workload.planted)[:4]
-    s, passed = emf_scores(emf_model, pairs, instance_group(workload.plans))
+    s, passed = emf_scores(emf_model, pairs, instance_group(records(workload.plans)))
     assert s.shape == (4,) and passed == 0
     assert np.all((s >= 0) & (s <= 1))
 
@@ -173,7 +173,7 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
         i, j = int(min(i, j)), int(max(i, j))
         if (i, j) not in planted_set:
             rand_pairs.append((i, j))
-    group = instance_group(workload.plans)
+    group = instance_group(records(workload.plans))
     sp, _ = emf_scores(emf_model, planted, group)
     sr, _ = emf_scores(emf_model, rand_pairs, group)
     assert sp.mean() > sr.mean() + 0.2
@@ -188,7 +188,7 @@ def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
     ks, encs = [], []
     for k, (a, b) in enumerate(plan_pairs):
         try:
-            encs.append(encode_pair_agnostic(canonical_plan(a), canonical_plan(b)))
+            encs.append(encode_pair_agnostic(PlanRecord(a).canonical, PlanRecord(b).canonical))
         except ValueError:
             continue
         ks.append(k)
@@ -206,7 +206,7 @@ def test_emf_scorers_agree(emf_model, workload):
     n = len(workload.plans)
     pairs = list(itertools.combinations(range(n), 2))[:300]
     pairs += [(n, n + 1), (n + 2, n + 3)]  # out of space, then in space
-    by_converter, passed = emf_scores(emf_model, pairs, instance_group(plans))
+    by_converter, passed = emf_scores(emf_model, pairs, instance_group(records(plans)))
     reference, out = scratch_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
     assert len(pairs) > PAIR_BATCH  # more than one batch
     np.testing.assert_array_equal(by_converter, reference)

@@ -8,7 +8,9 @@ exempt.
 
 The layers below the workload generator never import it, the NN
 stack takes plan tensors only from the encoders' pair batches and takes
-no node mask, and only the AV turns a ``RuntimeError`` into a verdict."""
+no node mask, only the AV turns a ``RuntimeError`` into a verdict, and
+the cascade's stages take plans apart only through their plan
+records."""
 import ast
 from pathlib import Path
 
@@ -106,7 +108,6 @@ def test_lower_layers_do_not_import_the_workload():
 # Plan → tensor work stays in repro.encoding: the NN stack reads the
 # converter's pair batches, never a plan walk or a direct encoder.
 PLAN_ENCODERS = (
-    "repro.encoding.canonical_form",
     "repro.encoding.instance.encode_tree",
     "repro.encoding.agnostic.encode_pair_agnostic",
     "repro.encoding.agnostic.encode_group_agnostic",
@@ -158,3 +159,28 @@ def test_nn_takes_no_mask():
         if isinstance(arg, ast.arg) and "mask" in arg.arg.lower()
     ]
     assert not bad, "repro.nn takes a mask:\n" + "\n".join(bad)
+
+
+# The cascade's stages read each plan's record (repro.core.record): none
+# of them takes a plan apart or lowers a predicate itself.
+RECORD_READERS = ("encoding", "verifier", "filters", "core/pipeline.py")
+
+
+def test_only_the_record_decomposes_and_lowers():
+    paths = []
+    for part in RECORD_READERS:
+        path = ROOT / "src" / "repro" / part
+        paths += sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    bad = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in [
+            node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else None
+        ]
+        if name in ("decompose", "to_constraint")
+    ]
+    assert not bad, "decomposed or lowered outside the record:\n" + "\n".join(bad)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import JOIN_TYPES, Join, bfs
-from repro.encoding.canonical_form import canonical_plan
+from repro.core.record import PlanRecord
 from repro.encoding.instance import Vocab, encode_tree, norm_const, schema_vocab
 from repro.solver.linexpr import OPS
 from repro.workload.generator import random_plans
@@ -68,7 +68,7 @@ def test_canonical_encoding_keeps_the_join_type(jointype):
     """A plan outside the SPJ fragment is encoded as written, so a left
     or semi join keeps its own join-type slot."""
     v = _ab_vocab()
-    plan = canonical_plan(fig1_q1(jointype))
+    plan = PlanRecord(fig1_q1(jointype)).canonical
     enc = encode_tree(plan, v)
     (i,) = [i for i, n in enumerate(bfs(plan)) if isinstance(n, Join)]
     slots = enc.X[i, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)]

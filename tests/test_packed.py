@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.record import PlanRecord, records
 from repro.encoding.agnostic import (
     DEFAULT_SPACE,
     PAIR_BATCH,
@@ -21,7 +22,6 @@ from repro.encoding.agnostic import (
     encode_pair_agnostic,
     instance_group,
 )
-from repro.encoding.canonical_form import canonical_plan
 from repro.experiments.table1 import planted_pool
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
@@ -50,7 +50,7 @@ def pool(emf_model):
 
 def single_embeddings(model, plans) -> np.ndarray:
     """Each plan of a group encoded directly and embedded alone."""
-    encs = encode_group_agnostic([canonical_plan(p) for p in plans])
+    encs = encode_group_agnostic([PlanRecord(p).canonical for p in plans])
     return np.concatenate([model.embed_eval(*pack_encs([e])) for e in encs])
 
 
@@ -58,9 +58,10 @@ def single_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
     """Each pair encoded directly and scored alone; an out-of-space
     pair scores 1.0 and is counted."""
     out, skipped = np.ones(len(pairs)), 0
+    canonical = [PlanRecord(p).canonical for p in plans]
     for k, (i, j) in enumerate(pairs):
         try:
-            ea, eb = encode_pair_agnostic(canonical_plan(plans[i]), canonical_plan(plans[j]))
+            ea, eb = encode_pair_agnostic(canonical[i], canonical[j])
         except ValueError:
             skipped += 1
             continue
@@ -79,7 +80,7 @@ def test_packed_path_matches_single_trees_on_table1_groups(emf_model, pool):
     n_pairs = 0
     for ids in groups:
         local = [plans[i] for i in ids]
-        group = instance_group(local)
+        group = instance_group(records(local))
         z = embed_group(emf_model, group)
         z_ref = single_embeddings(emf_model, local)
         assert np.abs(z - z_ref).max() <= TOL
@@ -99,11 +100,11 @@ def test_packed_path_out_of_space(emf_model):
     """A group over 8 columns of one table exceeds the agnostic space
     whole; only its pair of 2- and 3-column plans fits."""
     plans = [_wide_plan(8, 1.0), _wide_plan(8, 2.0), _wide_plan(2, 3.0), _wide_plan(3, 4.0)]
-    group = instance_group(plans)
+    group = instance_group(records(plans))
     with pytest.raises(ValueError):
         embed_group(emf_model, group)
     with pytest.raises(ValueError):
-        encode_group_agnostic([canonical_plan(p) for p in plans])
+        encode_group_agnostic([PlanRecord(p).canonical for p in plans])
     pairs = list(itertools.combinations(range(4), 2))
     scores, passed = emf_scores(emf_model, pairs, group)
     reference, out = single_scores(emf_model, plans, pairs)
@@ -128,7 +129,7 @@ def test_encode_pairs_matches_direct_encoder():
     encs, y = [], []
     for p in pairs:
         try:
-            encs.append(encode_pair_agnostic(canonical_plan(p.p1), canonical_plan(p.p2)))
+            encs.append(encode_pair_agnostic(*(PlanRecord(q).canonical for q in (p.p1, p.p2))))
         except ValueError:
             continue
         y.append(float(p.label))

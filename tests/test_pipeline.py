@@ -7,14 +7,25 @@ import pytest
 
 from repro.core import pipeline
 from repro.core.pipeline import cascade_group, geqo_set_local, geqo_set_spark
-from repro.core.plan import Comparison, predicates
-from repro.encoding.canonical_form import canonical_plan
+from repro.core.plan import (
+    Col,
+    Comparison,
+    Const,
+    Filter,
+    Join,
+    Project,
+    Scan,
+    decompose,
+    predicates,
+)
+from repro.core.record import PlanRecord, flatten, records
+from repro.encoding.agnostic import instance_group, pack_group
 from repro.encoding.instance import encode_tree
 from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import calibrate_tau
-from repro.solver.fm import SolverError
+from repro.solver.fm import SolverError, satisfiable
+from repro.verifier import av
 from repro.verifier.av import Verifier
-from repro.verifier.canonical import flatten
 from repro.workload.generator import random_plans
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE
@@ -160,15 +171,43 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_each_plan_is_encoded_once_per_group(emf_model, tau, workload, monkeypatch):
-    """The VMF and the EMF share one preparation per SF-group: one
-    ``canonical_plan`` and one ``encode_tree`` call per plan."""
-    canon = _count_calls(monkeypatch, canonical_plan)
+    """The VMF and the EMF share one preparation per SF-group, which the
+    AV reads too: one ``decompose`` and one ``encode_tree`` call per
+    plan."""
+    decomposed = _count_calls(monkeypatch, decompose)
     encoded = _count_calls(monkeypatch, encode_tree)
     res = geqo_set_local(workload.plans, emf_model, tau=tau)
-    assert res.survivors["VMF"] > 0
+    assert res.survivors["VMF"] > 0 and res.av_pairs_checked > 0
     multi = [id(p) for g in _multi_groups(workload.plans) for p in g]
-    assert sorted(map(id, canon)) == sorted(multi)
+    assert sorted(map(id, decomposed)) == sorted(multi)
     assert len(encoded) == len(multi)
+
+
+def _left_join_plan():
+    return Project((Col("A", "x"),), Join(
+        Scan("A", "A"), Scan("B", "B"), Comparison(Col("A", "k"), "=", Col("B", "k")), "left"))
+
+
+def _unrebuildable_plan():
+    """An SPJ plan whose join predicate names one side only, so
+    ``compose`` finds no join graph to rebuild it from."""
+    return Project((Col("A", "x"),), Filter(
+        Comparison(Col("B", "y"), "<", Const(3.0)),
+        Join(Scan("A", "A"), Scan("B", "B"), Comparison(Col("A", "x"), ">", Const(5.0)))))
+
+
+def test_record_fallbacks_encode_as_written():
+    """A left join (outside the fragment) and a plan ``compose`` cannot
+    rebuild keep their own shape: the record's canonical plan is the
+    plan itself, and the group encodes it as written."""
+    plans = [_left_join_plan(), _unrebuildable_plan()]
+    recs = records(plans)
+    assert recs[0].spj is None and recs[1].spj is not None
+    assert all(r.canonical is p for r, p in zip(recs, plans))
+    group = instance_group(recs)
+    direct = pack_group([encode_tree(p, group.vocab) for p in plans], group.vocab)
+    for field in ("starts", "left", "right", "nz_row", "nz_col", "nz_val"):
+        np.testing.assert_array_equal(getattr(group, field), getattr(direct, field))
 
 
 class _RecordingVerifier(Verifier):
@@ -187,9 +226,11 @@ class _RecordingVerifier(Verifier):
 def test_each_predicate_is_lowered_and_each_plan_flattened_once_per_call(
     emf_model, tau, workload, monkeypatch
 ):
-    """One call lowers each predicate object at most once, for the
-    canonical order, the encoder and the AV alike, and flattens each plan
-    that reaches the AV once; the next call prepares its plans again."""
+    """One call decomposes each plan at most once, lowers each predicate
+    object at most once, for the canonical order, the encoder and the AV
+    alike, flattens each plan that reaches the AV once and decides its
+    satisfiability at most once; the next call prepares its plans
+    again."""
     real, lowered = Comparison.to_constraint, []
 
     def counted(pred):
@@ -197,27 +238,45 @@ def test_each_predicate_is_lowered_and_each_plan_flattened_once_per_call(
         return real(pred)
 
     monkeypatch.setattr(Comparison, "to_constraint", counted)
+    decomposed = _count_calls(monkeypatch, decompose)
     flattened = _count_calls(monkeypatch, flatten)
-    preds = {id(q) for p in workload.plans for q in predicates(p)}
+    decided = []  # the AV's own satisfiability checks, not FM's inside implies
+
+    def deciding(cs):
+        decided.append(cs)
+        return satisfiable(cs)
+
+    monkeypatch.setattr(av, "satisfiable", deciding)
+    plans = workload.plans
+    preds = {id(q) for p in plans for q in predicates(p)}
+    constraints = {id(p): tuple(flatten(PlanRecord(p)).constraints) for p in plans}
     for filters in (pipeline.CASCADE, ()):
         verifier = _RecordingVerifier()
         for call in (1, 2):
-            lowered.clear()
-            res = geqo_set_local(workload.plans, emf_model if filters else None,
+            for calls in (lowered, decomposed, flattened, decided):
+                calls.clear()
+            res = geqo_set_local(plans, emf_model if filters else None,
                                  filters=filters, tau=tau, verifier=verifier)
             ids = [id(q) for q in lowered]
             assert ids and len(ids) == len(set(ids)) and set(ids) <= preds
+            assert decomposed and max(Counter(map(id, decomposed)).values()) == 1
             av_plans = {id(p) for p1, p2, _ in verifier.checked for p in (p1, p2)}
             assert av_plans
-            assert Counter(map(id, flattened)) == dict.fromkeys(av_plans, call)
+            assert Counter(id(r.plan) for r in flattened) == dict.fromkeys(av_plans, 1)
+            # one decision per plan: a constraint tuple is decided at most
+            # as often as there are reached plans that have it
+            reached = Counter(constraints[i] for i in av_plans)
+            assert decided and all(
+                n <= reached[cs] for cs, n in Counter(map(tuple, decided)).items()
+            )
             assert len(verifier.checked) == res.av_pairs_checked * call
-        flattened.clear()
 
 
 def test_av_verdicts_match_fresh_verifier(emf_model, tau, workload):
-    """The cascade's AV verdicts and verify-all's pairs, solver calls and
-    unknowns equal a fresh ``Verifier`` per pair, which flattens both
-    plans from scratch: a mis-indexed flat form would prove a wrong pair."""
+    """The cascade's AV verdicts and verify-all's pairs and unknowns
+    equal a fresh ``Verifier`` per pair, which flattens both plans from
+    scratch: a mis-indexed flat form would prove a wrong pair. Solver
+    calls are fewer by the satisfiability checks the records share."""
     def fresh(p1, p2):
         v = Verifier()
         return v.equivalent(p1, p2), v.solver_calls
@@ -235,7 +294,10 @@ def test_av_verdicts_match_fresh_verifier(emf_model, tau, workload):
         for i in range(len(plans)) for j in range(i + 1, len(plans))
     }
     assert res.pairs == {ij for ij, (v, _) in verdicts.items() if v}
-    assert verifier.solver_calls == sum(n for _, n in verdicts.values())
+    # Fresh verifiers decide satisfiability once per pair (75 solver
+    # calls in all); one call decides it once per plan.
+    assert sum(n for _, n in verdicts.values()) == 75
+    assert verifier.solver_calls == 63
     assert res.av_unknown == sum(v is None for v, _ in verdicts.values())
 
 
@@ -258,10 +320,10 @@ class _RaisingVerifier(Verifier):
         self.bad = bad
         self.error = error
 
-    def _equivalent_flat(self, f1, f2):
-        if f1 is self._flat(self.bad[0]) and f2 is self._flat(self.bad[1]):
+    def _equivalent(self, r1, r2):
+        if r1.plan is self.bad[0] and r2.plan is self.bad[1]:
             raise self.error("budget exceeded")
-        return super()._equivalent_flat(f1, f2)
+        return super()._equivalent(r1, r2)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, SolverError])

@@ -217,3 +217,26 @@ def test_decompose_refuses_non_inner_joins(jointype):
 def test_decompose_refuses_a_plan_without_root_project():
     with pytest.raises(ValueError):
         decompose(fig1_q1().child)
+
+
+_SAME_ALIAS_PRED = Comparison(Col("a", "ss_item_sk"), "=", Col("a", "ss_sold_date_sk"))
+
+
+def two_tables_one_alias():
+    """``store_sales`` and ``item`` both scanned as ``a``: no alias map
+    describes it, and ``to_sql`` would render it as a one-table query."""
+    return Project(
+        (Col("a", "ss_item_sk"),),
+        Join(Scan("store_sales", "a"), Scan("item", "a"), _SAME_ALIAS_PRED),
+    )
+
+
+def one_table_same_filter():
+    """The same predicate as a filter over ``Scan(item, a)`` alone."""
+    return Project((Col("a", "ss_item_sk"),), Filter(_SAME_ALIAS_PRED, Scan("item", "a")))
+
+
+def test_decompose_refuses_two_tables_under_one_alias():
+    with pytest.raises(ValueError, match="'a'"):
+        decompose(two_tables_one_alias())
+    assert decompose(one_table_same_filter())[0] == {"a": "item"}

@@ -18,14 +18,14 @@ from repro.core.plan import (
     Project,
     Scan,
 )
+from repro.core.record import PlanRecord, flatten
 from repro.verifier.av import Verifier, verify
-from repro.verifier.canonical import flatten
 from repro.verifier.model_check import counterexample
-from tests.test_plan import fig1_q1, fig1_q2
+from tests.test_plan import fig1_q1, fig1_q2, one_table_same_filter, two_tables_one_alias
 
 
 def test_flatten_shape():
-    f = flatten(fig1_q1())
+    f = flatten(PlanRecord(fig1_q1()))
     assert f.aliases == (("A", "A"), ("B", "B"))
     assert len(f.constraints) == 3
     assert f.projection == ("A.x", "B.y")
@@ -41,7 +41,7 @@ def test_flatten_dedups_constraints():
         Filter(Comparison(Col("A", "v"), ">", Const(1.0)),
                Filter(Comparison(Col("A", "v"), ">", Const(1.0)), base)),
     )
-    assert len(flatten(p).constraints) == 2
+    assert len(flatten(PlanRecord(p)).constraints) == 2
 
 
 def test_figure1_equivalent():
@@ -201,7 +201,8 @@ def _self_join_chain(n: int = 8):
 
 
 @pytest.mark.parametrize("make, solver_calls", [
-    (_left_join, 0),  # never flattened
+    (_left_join, 0),  # outside the fragment: no flat form
+    (two_tables_one_alias, 0),  # likewise
     (_disequalities, 1),  # FM gives up on the first satisfiability check
     (_self_join_chain, 1),  # the first plan is satisfiable, then the budget
 ])
@@ -213,12 +214,33 @@ def test_unknown_verdict_is_none(make, solver_calls):
     assert v.solver_calls == solver_calls
 
 
-@pytest.mark.parametrize("make", [_left_join, _disequalities, _self_join_chain])
+@pytest.mark.parametrize(
+    "make", [_left_join, _disequalities, _self_join_chain, two_tables_one_alias]
+)
 def test_unknown_pair_is_counted_not_reported(make):
     plans = [make(), fig1_q1(), make(), fig1_q2()]
     res = geqo_set_local(plans, None, filters=("SF",))
     assert res.pairs == {(1, 3)}
     assert res.av_unknown == 1 and res.av_pairs_checked == 2
+
+
+def test_solver_error_is_not_kept_as_a_verdict():
+    """FM gives up on each of these plans: every pair that decides one's
+    satisfiability asks FM again and is unknown."""
+    v = Verifier()
+    res = geqo_set_local([_disequalities() for _ in range(4)], None, filters=("SF",), verifier=v)
+    assert res.av_pairs_checked == res.av_unknown == 6 and not res.pairs
+    assert v.solver_calls == 6
+
+
+def test_two_tables_under_one_alias_are_not_proved():
+    """The join scans two tables as ``a``; the filter plan scans one.
+    Their SF keys differ, so no pair of them is equivalent, yet their
+    flat forms would read alike."""
+    plans = [two_tables_one_alias(), one_table_same_filter()]
+    assert verify(*plans) is None
+    res = geqo_set_local(plans, None, filters=())
+    assert res.pairs == set() and res.av_unknown == 1
 
 
 def test_bijection_budget_counted_before_any_permutation(monkeypatch):
