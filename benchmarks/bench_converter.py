@@ -2,7 +2,7 @@
 computing pairwise db-agnostic encodings from scratch. The paper
 reports the converter 1.8× faster; we measure our factor and record it
 in ``results/converter.md``. The converter here is the cascade's: one
-column map per pair, applied to a batch of pairs at once."""
+slot map per pair, applied to a batch of pairs at once."""
 import time
 
 import pytest
@@ -26,7 +26,7 @@ def test_converter_vs_scratch(benchmark):
     pairs = _pairs()
     vocab = schema_vocab(TPCDS_LITE)
     # instance encodings are computed once (the O(n) part)
-    group = pack_group([encode_tree(p, vocab) for pair in pairs for p in pair], vocab)
+    group = pack_group([encode_tree(p) for pair in pairs for p in pair], vocab)
     index = [(2 * k, 2 * k + 1) for k in range(N_PAIRS)]
 
     def scratch():

@@ -6,7 +6,7 @@ per plan (:mod:`repro.core.record`) that every stage reads, so a plan
 is decomposed, its predicates lowered, and it is canonicalized and
 encoded once for both the VMF and the EMF; the AV flattens it and
 decides its satisfiability at most once. Per pair come the radius
-join, the EMF's column map and head, and the AV's bijection search and
+join, the EMF's slot map and head, and the AV's bijection search and
 FM checks. A record's parts are computed on first use: the encoding is
 timed with the first model filter (with the AV when there is none),
 flattening and satisfiability with the AV. Nothing prepared outlives

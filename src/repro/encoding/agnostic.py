@@ -10,23 +10,24 @@ workloads.
 
 Two encoders assign these slots, and must agree bit-for-bit (tested):
 
-- **direct** — encode the plans against the group's slot vocabulary,
-  named by :func:`group_vocab`; it is the tests' reference and the
-  converter benchmark's baseline;
+- **direct** — place the plans' node entries over the group's slot
+  vocabulary, named by :func:`group_vocab`; it is the tests' reference
+  and the converter benchmark's baseline;
 - **converter** (§4.2.1) — transform already-computed instance
-  matrices. This is the paper's "lightweight converter" that avoids
+  encodings. This is the paper's "lightweight converter" that avoids
   re-walking every plan per pair, and the cascade runs on it:
   :func:`instance_group` encodes the canonical plan of each plan record
-  (:mod:`repro.core.record`) of an SF-group once and packs the node
-  rows of all its plans, with no padding, into an
-  :class:`InstanceGroup` that keeps each plan's ``m_T``/``m_C`` masks
-  of referenced tables and columns. The slots of a set of plans are
-  ranks in the union of their masks, so the converter is a column map
-  from instance column to agnostic column: one map for a whole group
-  (:func:`group_agnostic`, the VMF's n-ary encoding) or one per pair
-  (:func:`pair_batches`, the EMF's pairwise encoding), scattered into
-  one packed node matrix per batch; :func:`plan_pair_batches` for plan
-  pairs (labelled data, τ calibration).
+  (:mod:`repro.core.record`) of an SF-group once, takes the group's
+  vocabulary from the entries, and packs the non-zero entries of all
+  its plans, with no padding, into an :class:`InstanceGroup` that keeps
+  each plan's ``m_T``/``m_C`` masks of referenced tables and columns.
+  The slots of a set of plans are ranks in the union of their masks, so
+  the converter moves each entry's table or column to its slot: one
+  slot map for a whole group (:func:`group_agnostic`, the VMF's n-ary
+  encoding) or one per pair (:func:`pair_batches`, the EMF's pairwise
+  encoding, which converts each distinct side of a batch once);
+  :func:`plan_pair_batches` for plan pairs (labelled data, τ
+  calibration).
 """
 from __future__ import annotations
 
@@ -36,11 +37,21 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.core.plan import JOIN_TYPES, Plan
+from repro.core.plan import Plan
 from repro.core.record import PlanRecord, records
 from repro.core.subexpr import referenced_by_table
-from repro.encoding.instance import Packed, TreeEnc, Vocab, encode_tree, offsets, pack_encs
-from repro.solver.linexpr import OPS
+from repro.encoding.instance import (
+    COLUMN_SEGMENTS,
+    SEGMENTS,
+    Packed,
+    TreeEnc,
+    Vocab,
+    encode_tree,
+    offsets,
+    pack_encs,
+    slotted,
+    stack_encs,
+)
 
 
 @dataclass(frozen=True)
@@ -89,26 +100,27 @@ def group_vocab(cols_by_table: Mapping[str, Iterable[str]]) -> Vocab:
     return Vocab(tuple(tables) + (None,) * (n - len(tables)), tuple(columns))
 
 
-def encode_group_agnostic(plans: list[Plan]) -> list[TreeEnc]:
-    """Direct n-ary db-agnostic encoding of a group of subexpressions.
+def encode_group_agnostic(plans: list[Plan]) -> Packed:
+    """Direct n-ary db-agnostic encoding of a group of subexpressions,
+    packed in order.
 
     With ``len(plans) == 2`` this is the pairwise encoding of §4.2; the
     n-ary variant (§4.2.2) is what the VMF applies per SF-group.
     """
     vocab = group_vocab(referenced_by_table(plans))
-    return [encode_tree(p, vocab) for p in plans]
+    return pack_encs([encode_tree(p) for p in plans], vocab)
 
 
-def encode_pair_agnostic(p1: Plan, p2: Plan) -> tuple[TreeEnc, TreeEnc]:
-    a, b = encode_group_agnostic([p1, p2])
-    return a, b
+def encode_pair_agnostic(p1: Plan, p2: Plan) -> Packed:
+    """Direct pairwise encoding (§4.2): the two plans packed in order."""
+    return encode_group_agnostic([p1, p2])
 
 
 # --------------------------------------------------------------------------
-# Matrix converter (§4.2.1): instance encodings → agnostic encodings
+# Converter (§4.2.1): instance encodings → agnostic encodings
 # --------------------------------------------------------------------------
 
-PAIR_BATCH = 256  # pairs per column-map batch of pair_batches
+PAIR_BATCH = 256  # pairs per batch of pair_batches
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,9 +131,10 @@ class InstanceGroup:
     table, lexicographic within (as :func:`instance_group` and
     ``schema_vocab`` build it). Per tree: its first row and row count,
     and the ``m_T``/``m_C`` masks of §4.2.1 (the tables and columns its
-    one-hots reference). Rows are kept as their non-zero entries, in row
-    order, with each tree's first entry and entry count; ``left`` and
-    ``right`` are global child rows (−1 = absent).
+    one-hots reference). Rows are their non-zero entries, in row order
+    and column order within a row, with each tree's first entry and
+    entry count; ``left`` and ``right`` are global child rows (−1 =
+    absent).
     """
 
     vocab: Vocab
@@ -141,31 +154,42 @@ class InstanceGroup:
         return len(self.starts)
 
 
-def pack_group(encs: list[TreeEnc], vocab: Vocab) -> InstanceGroup:
-    """:class:`InstanceGroup` of instance encodings over ``vocab``."""
-    starts, X, left, right = pack_encs(encs)
-    nz_row, nz_col = np.nonzero(X)
-    nz_start = np.searchsorted(nz_row, starts)
-    used_c = np.zeros((X.shape[0], vocab.n_c), dtype=bool)
-    for off in (vocab.off_join_cl, vocab.off_join_cr, vocab.off_sel_c):
-        used_c |= X[:, off : off + vocab.n_c] != 0
-    used_t = X[:, vocab.off_table : vocab.off_table + vocab.n_t] != 0
+_TABLE = SEGMENTS.index("table")
+_IS_COLUMN = np.array([s in COLUMN_SEGMENTS for s in SEGMENTS])
+
+
+def _segments(vocab: Vocab, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's segment (an index into ``SEGMENTS``) and position
+    within it; an empty segment is never chosen."""
+    seg = np.searchsorted(vocab.bounds, col, side="right") - 1
+    return seg, col - vocab.bounds[seg]
+
+
+def pack_group(encs: list[TreeEnc], vocab: Vocab | None = None) -> InstanceGroup:
+    """:class:`InstanceGroup` of instance encodings over ``vocab``, by
+    default the tables and columns their entries reference."""
+    vocab, starts, row, col, val, counts, left, right = stack_encs(encs, vocab)
+    n = len(encs)
+    tree = np.repeat(np.arange(n), counts)
+    seg, pos = _segments(vocab, col)
+    t_mask = np.zeros((n, vocab.n_t), dtype=bool)
+    c_mask = np.zeros((n, vocab.n_c), dtype=bool)
+    t, c = seg == _TABLE, _IS_COLUMN[seg]
+    t_mask[tree[t], pos[t]] = True
+    c_mask[tree[c], pos[c]] = True
     return InstanceGroup(
-        vocab, starts, np.diff(starts, append=X.shape[0]), left, right,
-        nz_row, nz_col, X[nz_row, nz_col], nz_start,
-        np.diff(nz_start, append=len(nz_row)),
-        np.logical_or.reduceat(used_t, starts, axis=0),
-        np.logical_or.reduceat(used_c, starts, axis=0),
+        vocab, starts, np.diff(starts, append=len(left)), left, right,
+        row, col, val, offsets(counts), counts, t_mask, c_mask,
     )
 
 
 def instance_group(recs: list[PlanRecord]) -> InstanceGroup:
-    """Instance-encode the canonical plan of each record once, over the
-    group's referenced tables and columns (no space bound: this never
-    raises), lowering each predicate through its record."""
-    tables = sorted(cols := referenced_by_table([r.canonical for r in recs]))
-    vocab = Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
-    return pack_group([encode_tree(r.canonical, vocab, r.constraint) for r in recs], vocab)
+    """Instance-encode the canonical plan of each record once, by one
+    walk of it, over the tables and columns its entries reference (no
+    space bound: this never raises); each predicate is lowered, and each
+    alias resolved, through the record."""
+    return pack_group([encode_tree(r.canonical, r.constraint, None if r.spj is None else r.spj[0])
+                       for r in recs])
 
 
 def _slots(group: InstanceGroup, T: np.ndarray, C: np.ndarray):
@@ -184,32 +208,17 @@ def _slots(group: InstanceGroup, T: np.ndarray, C: np.ndarray):
     return t_slot, t_slot[:, table] * m + rank, ok
 
 
-def _column_maps(group: InstanceGroup, t_slot: np.ndarray, c_slot: np.ndarray) -> np.ndarray:
-    """(P, |NV|) map from instance column to agnostic column: table and
-    column one-hots move to their slots; join op, join type, and select
-    op ⊕ const ⊕ null copy through."""
-    v, a = group.vocab, DEFAULT_SPACE.slots
-    maps = np.empty((len(t_slot), v.nv_size), dtype=np.intp)
-    maps[:, v.off_table : v.off_table + v.n_t] = a.off_table + t_slot
-    for vo, ao in ((v.off_join_cl, a.off_join_cl), (v.off_join_cr, a.off_join_cr),
-                   (v.off_sel_c, a.off_sel_c)):
-        maps[:, vo : vo + v.n_c] = ao + c_slot
-    maps[:, v.off_join_op : v.off_join_op + len(OPS)] = np.arange(len(OPS)) + a.off_join_op
-    maps[:, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)] = (
-        np.arange(len(JOIN_TYPES)) + a.off_join_jt
-    )
-    maps[:, v.off_sel_op :] = np.arange(a.nv_size - a.off_sel_op) + a.off_sel_op
-    return maps
-
-
 def _ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``range(b, b + c)`` for each ``(b, c)``."""
     return np.repeat(begin - offsets(counts), counts) + np.arange(counts.sum())
 
 
-def _convert(group: InstanceGroup, trees: np.ndarray, maps: np.ndarray, owner: np.ndarray) -> Packed:
+def _convert(group: InstanceGroup, trees: np.ndarray, t_slot: np.ndarray,
+             c_slot: np.ndarray) -> Packed:
     """The agnostic encodings of ``trees`` (group indices), packed in
-    that order; tree ``k``'s columns go through ``maps[owner[k]]``."""
+    that order: tree ``k``'s table and column one-hots move to the slots
+    ``t_slot[k]`` and ``c_slot[k]``; join op, join type, and select op ⊕
+    const ⊕ null keep their positions."""
     sizes, nz_count = group.sizes[trees], group.nz_count[trees]
     starts = offsets(sizes)
     shift = starts - group.starts[trees]  # packed row − instance row, per tree
@@ -217,18 +226,22 @@ def _convert(group: InstanceGroup, trees: np.ndarray, maps: np.ndarray, owner: n
     rows = np.arange(len(row_shift)) - row_shift
     left, right = group.left[rows], group.right[rows]
     nz = _ranges(group.nz_start[trees], nz_count)
-    X = np.zeros((len(rows), DEFAULT_SPACE.nv_size))
-    X[group.nz_row[nz] + np.repeat(shift, nz_count),
-      maps[np.repeat(owner, nz_count), group.nz_col[nz]]] = group.nz_val[nz]
+    owner = np.repeat(np.arange(len(trees)), nz_count)
+    seg, slot = _segments(group.vocab, group.nz_col[nz])
+    t, c = seg == _TABLE, _IS_COLUMN[seg]
+    slot[t] = t_slot[owner[t], slot[t]]
+    slot[c] = c_slot[owner[c], slot[c]]
+    cols, vals = slotted(len(rows), group.nz_row[nz] + shift[owner],
+                         DEFAULT_SPACE.slots.bounds[seg] + slot, group.nz_val[nz])
     return Packed(
-        starts, X, np.where(left >= 0, left + row_shift, -1),
+        starts, cols, vals, np.where(left >= 0, left + row_shift, -1),
         np.where(right >= 0, right + row_shift, -1),
     )
 
 
 def group_agnostic(group: InstanceGroup) -> Packed:
     """The n-ary db-agnostic encoding (§4.2.2) of a whole group, by one
-    column map over its packed rows. Agrees bit-for-bit with
+    slot map over its packed rows. Agrees bit-for-bit with
     :func:`encode_group_agnostic` (tested); raises ``ValueError`` when
     the group exceeds the agnostic space."""
     t_slot, c_slot, ok = _slots(
@@ -237,18 +250,21 @@ def group_agnostic(group: InstanceGroup) -> Packed:
     if not ok[0]:
         raise ValueError("group exceeds the agnostic space")
     n = len(group)
-    return _convert(group, np.arange(n), _column_maps(group, t_slot, c_slot),
-                    np.zeros(n, dtype=np.intp))
+    return _convert(group, np.arange(n), np.repeat(t_slot, n, axis=0),
+                    np.repeat(c_slot, n, axis=0))
 
 
 def pair_batches(
     group: InstanceGroup, pairs: list[tuple[int, int]]
-) -> Iterator[tuple[np.ndarray, Packed, Packed]]:
+) -> Iterator[tuple[np.ndarray, Packed, np.ndarray, np.ndarray]]:
     """The pairwise db-agnostic encodings (§4.2) of index pairs into
-    ``group``, one column map per pair, in batches of
-    :data:`PAIR_BATCH` pairs that fit the agnostic space: ``(positions in pairs, first plans,
-    second plans)``. Pairs outside the space are left out. Agrees
-    bit-for-bit with :func:`encode_pair_agnostic` (tested)."""
+    ``group``, one slot map per pair, in batches of :data:`PAIR_BATCH`
+    pairs that fit the agnostic space: ``(positions in pairs, sides,
+    first sides, second sides)``. A side is a plan under its pair's
+    slots for the plan's own tables and columns; each distinct side of a
+    batch is converted once, and pair ``k`` of the batch is the sides
+    ``(first[k], second[k])``. Pairs outside the space are left out.
+    Agrees bit-for-bit with :func:`encode_pair_agnostic` (tested)."""
     I, J = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     t_slot, c_slot, ok = _slots(
         group, group.t_mask[I] | group.t_mask[J], group.c_mask[I] | group.c_mask[J]
@@ -256,14 +272,20 @@ def pair_batches(
     fit = np.flatnonzero(ok)
     for s in range(0, len(fit), PAIR_BATCH):
         ks = fit[s : s + PAIR_BATCH]
-        maps = _column_maps(group, t_slot[ks], c_slot[ks])
-        own = np.arange(len(ks))
-        yield ks, _convert(group, I[ks], maps, own), _convert(group, J[ks], maps, own)
+        trees = np.concatenate([I[ks], J[ks]])
+        ts, cs = np.tile(t_slot[ks], (2, 1)), np.tile(c_slot[ks], (2, 1))
+        key = np.hstack([trees[:, None], np.where(group.t_mask[trees], ts, -1),
+                         np.where(group.c_mask[trees], cs, -1)])
+        # distinct key rows, each row compared as one opaque value
+        rows = key.view(np.dtype((np.void, key.strides[0]))).ravel()
+        _, first, side = np.unique(rows, return_index=True, return_inverse=True)
+        yield (ks, _convert(group, trees[first], ts[first], cs[first]),
+               side[: len(ks)], side[len(ks) :])
 
 
 def plan_pair_batches(
     pairs: list[tuple[Plan, Plan]],
-) -> Iterator[tuple[np.ndarray, Packed, Packed]]:
+) -> Iterator[tuple[np.ndarray, Packed, np.ndarray, np.ndarray]]:
     """:func:`pair_batches` over a list of plan pairs: all their plans
     are prepared as one :func:`instance_group`, and pair ``k`` is the
     index pair ``(2k, 2k + 1)``."""

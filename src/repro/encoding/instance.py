@@ -21,14 +21,19 @@ Deviations, documented per DESIGN.md:
 - Columns are identified by *base table*, so self-joins alias-collapse;
   the workload generator emits distinct-table joins only.
 
-The tree is rendered as a BFS node matrix (§3.2) plus per-node child
-indices (:class:`TreeEnc`). The encoders hand trees on :class:`Packed`
-row-wise with no padding, and the EMF trains and scores them as they
-are.
+A node sets at most a handful of its |NV| columns, so a tree is never a
+dense matrix. :func:`encode_tree` walks a plan once, in BFS order
+(§3.2), and emits each node row's non-zero entries keyed by segment and
+base table or column (:class:`TreeEnc`); a :class:`Vocab` places the
+keys. :class:`Packed` carries trees row-wise with no padding, each row
+as a fixed number of (column, value) slots, and the EMF's first
+tree convolution reads those slots as they are. :func:`densify` builds
+the dense matrix for the flat baselines and the tests.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -48,6 +53,13 @@ from repro.core.plan import (
 )
 from repro.core.record import PlanRecord
 from repro.solver.linexpr import OPS, Constraint
+
+# The NV segments in vector order, each named by its Vocab offset
+# without "off_". A table or column one-hot is keyed by base table or
+# base column; any other segment by a position within it.
+SEGMENTS = ("table", "join_cl", "join_op", "join_cr", "join_jt", "sel_c", "sel_op",
+            "const", "null")
+COLUMN_SEGMENTS = ("join_cl", "join_cr", "sel_c")
 
 
 @dataclass(frozen=True)
@@ -111,11 +123,33 @@ class Vocab:
     def off_null(self) -> int:
         return self.off_const + 1
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """The first column of each of :data:`SEGMENTS`."""
+        return np.array([getattr(self, "off_" + s) for s in SEGMENTS])
+
+    @cached_property
+    def _table_pos(self) -> dict[str | None, int]:
+        return {t: i for i, t in enumerate(self.tables)}
+
+    @cached_property
+    def _col_pos(self) -> dict[str | None, int]:
+        return {c: i for i, c in enumerate(self.columns)}
+
     def table_idx(self, t: str) -> int:
-        return self.tables.index(t)
+        return self._table_pos[t]
 
     def col_idx(self, key: str) -> int:
-        return self.columns.index(key)
+        return self._col_pos[key]
+
+    def column(self, segment: str, key) -> int:
+        """The vector column of a :class:`TreeEnc` entry key."""
+        off = getattr(self, "off_" + segment)
+        if segment == "table":
+            return off + self.table_idx(key)
+        if segment in COLUMN_SEGMENTS:
+            return off + self.col_idx(key)
+        return off + key
 
 
 def schema_vocab(schema) -> Vocab:
@@ -140,30 +174,61 @@ def norm_const(v: float) -> float:
     return min(2.0, max(-2.0, v / 64.0))
 
 
+Key = tuple[str, "str | int"]  # (segment, base table / base column / position)
+
+
 @dataclass
 class TreeEnc:
-    """BFS node matrix + child indices (−1 = absent)."""
+    """A plan's node entries in BFS row order, before a vocabulary places
+    them: entry ``e`` is the value ``vals[e]`` at ``keys[e]`` (a
+    ``(segment, key)`` of :data:`SEGMENTS`) in row ``rows[e]``, a row's
+    keys distinct; and child indices (−1 = absent). Placing the entries
+    (:func:`stack_encs`) rounds the values to float32 and drops the ones
+    that round to 0."""
 
-    X: np.ndarray  # (m, nv_size) float32
+    rows: list[int]
+    keys: list[Key]
+    vals: list[float]
     left: np.ndarray  # (m,) int32 — BFS index of left/only child
     right: np.ndarray  # (m,) int32
+
+
+def entry_vocab(keys) -> Vocab:
+    """The vocabulary of the tables and columns that entry ``keys``
+    reference: tables lexicographic, columns grouped by table and
+    lexicographic within."""
+    cols: dict[str, set[str]] = {}
+    for seg, key in keys:
+        if seg == "table":
+            cols.setdefault(key, set())
+        elif seg in COLUMN_SEGMENTS:
+            t, c = key.split(".", 1)
+            cols.setdefault(t, set()).add(c)
+    tables = sorted(cols)
+    return Vocab(tuple(tables), tuple(f"{t}.{c}" for t in tables for c in sorted(cols[t])))
+
+
+SENTINEL = -1  # the column of an unused slot; its weight row is zero
 
 
 class Packed(NamedTuple):
     """Trees packed row-wise with no padding: tree ``k`` holds the rows
     from ``starts[k]`` up to the next tree's start (or the end), and
     ``left``/``right`` are global row indices (−1 = absent). Every tree
-    has at least one row."""
+    has at least one row. A row is its non-zero entries in ``K`` fixed
+    slots, in column order; ``K`` is the most entries of a row, and an
+    unused slot holds column :data:`SENTINEL` and value 0."""
 
     starts: np.ndarray  # (B,) first row of each tree
-    X: np.ndarray  # (N, d) float64
+    cols: np.ndarray  # (N, K) column of each slot
+    vals: np.ndarray  # (N, K) float64 value of each slot
     left: np.ndarray  # (N,)
     right: np.ndarray  # (N,)
 
     @property
     def sizes(self) -> np.ndarray:
         """(B,) row count of each tree."""
-        return np.diff(self.starts, append=len(self.X))
+        return np.diff(self.starts, append=len(self.cols))
 
 
 def offsets(sizes: np.ndarray) -> np.ndarray:
@@ -173,89 +238,143 @@ def offsets(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def pack_encs(encs: Sequence[TreeEnc]) -> Packed:
-    """Pack tree encodings row-wise in order, child indices made global."""
-    sizes = np.array([e.X.shape[0] for e in encs], dtype=np.intp)
+def slotted(n: int, row: np.ndarray, col: np.ndarray, val: np.ndarray):
+    """The (n, K) slot columns and values of ``n`` rows given their
+    entries in row order (see :class:`Packed`)."""
+    count = np.bincount(row, minlength=n)
+    slot = np.arange(len(row)) - offsets(count)[row]
+    k = int(count.max(initial=0))
+    cols = np.full((n, k), SENTINEL, dtype=np.intp)
+    vals = np.zeros((n, k))
+    cols[row, slot] = col
+    vals[row, slot] = val
+    return cols, vals
+
+
+def stack_encs(encs: Sequence[TreeEnc], vocab: Vocab | None = None):
+    """``encs`` placed one after another over ``vocab``, by default
+    :func:`entry_vocab` of their entries: the vocabulary, tree starts,
+    entry rows, columns and values (in row order, column order within a
+    row), entries per tree, and global child rows (−1 = absent).
+
+    Values are rounded to float32, as the node matrix always held them,
+    and an entry that rounds to 0 (a constant that normalizes to 0) is
+    dropped."""
+    sizes = np.array([len(e.left) for e in encs], dtype=np.intp)
     starts = offsets(sizes)
-    shift = np.repeat(starts, sizes)
+    n_entries = np.array([len(e.rows) for e in encs], dtype=np.intp)
+    total = int(n_entries.sum())
+    keys = list(chain.from_iterable(e.keys for e in encs))
+    column = dict.fromkeys(keys)
+    vocab = vocab or entry_vocab(column)
+    for key in column:
+        column[key] = vocab.column(*key)
+    row = np.fromiter(chain.from_iterable(e.rows for e in encs), np.intp, total)
+    row += np.repeat(starts, n_entries)
+    col = np.fromiter(map(column.__getitem__, keys), np.intp, total)
+    val = np.fromiter(chain.from_iterable(e.vals for e in encs), np.float64, total)
+    val = val.astype(np.float32).astype(np.float64)
+    keep = np.flatnonzero(val != 0)
+    keep = keep[np.lexsort((col[keep], row[keep]))]
+    row, col, val = row[keep], col[keep], val[keep]
+    counts = np.bincount(np.repeat(np.arange(len(encs)), n_entries)[keep], minlength=len(encs))
 
-    def rows(idx: np.ndarray) -> np.ndarray:
-        return np.where(idx >= 0, idx + shift, -1)
+    def rows(idx: list[np.ndarray]) -> np.ndarray:
+        idx = np.concatenate(idx) if idx else np.zeros(0, dtype=np.intp)
+        return np.where(idx >= 0, idx + np.repeat(starts, sizes), -1)
 
-    return Packed(
-        starts,
-        np.concatenate([e.X for e in encs]).astype(np.float64),
-        rows(np.concatenate([e.left for e in encs])),
-        rows(np.concatenate([e.right for e in encs])),
-    )
+    return (vocab, starts, row, col, val, counts,
+            rows([e.left for e in encs]), rows([e.right for e in encs]))
 
 
-def _base_key(col_key: str, amap: dict[str, str]) -> str:
+def pack_encs(encs: Sequence[TreeEnc], vocab: Vocab) -> Packed:
+    """Pack tree encodings over ``vocab`` row-wise in order, child
+    indices made global."""
+    _, starts, row, col, val, _, left, right = stack_encs(encs, vocab)
+    return Packed(starts, *slotted(len(left), row, col, val), left, right)
+
+
+def densify(trees: Packed, d: int) -> np.ndarray:
+    """The dense (N, d) node matrix of ``trees``: the flat baselines'
+    features and the tests' reference, never the EMF's input."""
+    X = np.zeros((len(trees.cols), d + 1))  # column d takes the sentinel slots
+    X[np.arange(len(trees.cols))[:, None], trees.cols] = trees.vals
+    return X[:, :d]
+
+
+def _base_key(col_key: str, amap: Mapping[str, str]) -> str:
     alias, col = col_key.split(".", 1)
     return f"{amap[alias]}.{col}"
 
 
-def _encode_constraint(
-    vec: np.ndarray, c: Constraint, vocab: Vocab, amap: dict[str, str],
-    jointype: str | None,
-) -> None:
-    """Fill join/select segments from a canonical constraint."""
+def _constraint_entries(
+    c: Constraint, amap: Mapping[str, str], jointype: str | None
+) -> tuple[tuple[Key, ...], tuple[float, ...]]:
+    """The join/select entries (keys, values) of a canonical constraint."""
     cols = c.columns
     op_i = OPS.index(c.op)
     const = -float(c.expr.const)  # expr op 0  ⇒  lead-part op const
     if len(cols) == 0:
         # constant-folded predicate (e.g. after equality substitution):
         # op + constant only, no column one-hot
-        vec[vocab.off_sel_op + op_i] = 1.0
-        vec[vocab.off_const] = norm_const(const)
-        return
+        return (("sel_op", op_i), ("const", 0)), (1.0, norm_const(const))
     if len(cols) == 1:
-        vec[vocab.off_sel_c + vocab.col_idx(_base_key(cols[0], amap))] = 1.0
-        vec[vocab.off_sel_op + op_i] = 1.0
-        vec[vocab.off_const] = norm_const(const)
-        vec[vocab.off_null] = 0.0
+        return ((("sel_c", _base_key(cols[0], amap)), ("sel_op", op_i), ("const", 0)),
+                (1.0, 1.0, norm_const(const)))
+    # two-or-more-column predicate: first two columns to the join
+    # segment, constant (if any) to the select const slot
+    keys = [("join_cl", _base_key(cols[0], amap)), ("join_op", op_i),
+            ("join_cr", _base_key(cols[1], amap))]
+    vals = [1.0, 1.0, 1.0]
+    if jointype is not None:
+        keys.append(("join_jt", JOIN_TYPES.index(jointype)))
+        vals.append(1.0)
+    if c.expr.const != 0:
+        keys.append(("const", 0))
+        vals.append(norm_const(const))
     else:
-        # two-or-more-column predicate: first two columns to the join
-        # segment, constant (if any) to the select const slot
-        vec[vocab.off_join_cl + vocab.col_idx(_base_key(cols[0], amap))] = 1.0
-        vec[vocab.off_join_op + op_i] = 1.0
-        vec[vocab.off_join_cr + vocab.col_idx(_base_key(cols[1], amap))] = 1.0
-        if jointype is not None:
-            vec[vocab.off_join_jt + JOIN_TYPES.index(jointype)] = 1.0
-        if c.expr.const != 0:
-            vec[vocab.off_const] = norm_const(const)
-        else:
-            vec[vocab.off_null] = 1.0
+        keys.append(("null", 0))
+        vals.append(1.0)
+    return tuple(keys), tuple(vals)
 
 
-def encode_tree(plan: Plan, vocab: Vocab, lower: Lower | None = None) -> TreeEnc:
-    """The node matrix of ``plan`` over ``vocab``; each predicate is
-    lowered through ``lower``, by default a fresh record of ``plan``."""
+def encode_tree(
+    plan: Plan, lower: Lower | None = None, aliases: Mapping[str, str] | None = None
+) -> TreeEnc:
+    """The node rows of ``plan``, keyed by base table and column, by one
+    walk of it; each predicate is lowered through ``lower``, by default
+    a fresh record of ``plan``, and ``aliases`` maps each alias to its
+    base table (by default taken from the plan)."""
     lower = lower or PlanRecord(plan).constraint
-    amap = alias_map(plan)
+    amap = alias_map(plan) if aliases is None else aliases
     nodes = list(bfs(plan))
     index = {id(n): i for i, n in enumerate(nodes)}
-    m = len(nodes)
-    X = np.zeros((m, vocab.nv_size), dtype=np.float32)
-    left = np.full(m, -1, dtype=np.int32)
-    right = np.full(m, -1, dtype=np.int32)
+    rows: list[int] = []
+    keys: list[Key] = []
+    vals: list[float] = []
+    left, right = [-1] * len(nodes), [-1] * len(nodes)
     for i, n in enumerate(nodes):
         if isinstance(n, Scan):
-            X[i, vocab.off_table + vocab.table_idx(n.table)] = 1.0
+            ks, vs = (("table", n.table),), (1.0,)
         elif isinstance(n, Filter):
-            _encode_constraint(X[i], lower(n.pred), vocab, amap, None)
+            ks, vs = _constraint_entries(lower(n.pred), amap, None)
             left[i] = index[id(n.child)]
         elif isinstance(n, Join):
-            _encode_constraint(X[i], lower(n.pred), vocab, amap, n.jointype)
+            ks, vs = _constraint_entries(lower(n.pred), amap, n.jointype)
             left[i] = index[id(n.left)]
             right[i] = index[id(n.right)]
         elif isinstance(n, Project):
             # Position-weighted multi-hot: projection ORDER is part of
             # result semantics (§2.1), so (x, y) and (y, x) must encode
             # differently. Weight 1 + 0.25·position; duplicates sum.
+            hot: dict[Key, float] = {}
             for pos, c in enumerate(n.cols):
-                X[i, vocab.off_sel_c + vocab.col_idx(_base_key(c.key, amap))] += (
-                    1.0 + 0.25 * pos
-                )
+                key = ("sel_c", _base_key(c.key, amap))
+                hot[key] = hot.get(key, 0.0) + 1.0 + 0.25 * pos
+            ks, vs = tuple(hot), tuple(hot.values())
             left[i] = index[id(n.child)]
-    return TreeEnc(X, left, right)
+        rows += [i] * len(ks)
+        keys += ks
+        vals += vs
+    return TreeEnc(rows, keys, vals, np.array(left, dtype=np.int32),
+                   np.array(right, dtype=np.int32))

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.encoding.instance import Packed
+from repro.encoding.agnostic import DEFAULT_SPACE
+from repro.encoding.instance import Packed, densify
 from repro.ml.forest import RandomForest
 from repro.ml.logistic import LogisticRegression
 from repro.nn.model import EMF
@@ -65,10 +66,12 @@ FLAT_NODES = 24
 
 
 def _padded(trees: Packed, m: int) -> np.ndarray:
-    """Each tree's node rows padded to ``m`` rows, flattened: (B, m·d)."""
+    """Each tree's dense node rows padded to ``m`` rows, flattened:
+    (B, m·|NV|)."""
+    X = densify(trees, DEFAULT_SPACE.nv_size)
     tree = np.repeat(np.arange(len(trees.starts)), trees.sizes)
-    out = np.zeros((len(trees.starts), m, trees.X.shape[1]))
-    out[tree, np.arange(len(trees.X)) - trees.starts[tree]] = trees.X
+    out = np.zeros((len(trees.starts), m, X.shape[1]))
+    out[tree, np.arange(len(X)) - trees.starts[tree]] = X
     return out.reshape(len(trees.starts), -1)
 
 

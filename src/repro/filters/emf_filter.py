@@ -2,11 +2,13 @@
 
 :func:`emf_scores` scores index pairs into a group prepared once by
 :func:`~repro.encoding.agnostic.instance_group`, the packed preparation
-the VMF reads too: the §4.2.1 converter gives each pair one column map
-from instance column to agnostic slot, applied to a whole batch of
-pairs at once and scattered into one packed node matrix per side, so no
-plan is re-walked and nothing is padded. The pipeline calls it per
-SF-group, on the driver or in a Spark task; Table 1 on a whole workload.
+the VMF reads too: the §4.2.1 converter gives each pair one slot map
+from instance table and column to agnostic slot, and converts each
+distinct side of a batch of pairs once into packed node slots, so no
+plan is re-walked and nothing is padded; the model embeds each side
+once and gathers it into every pair that holds it. The pipeline calls
+it per SF-group, on the driver or in a Spark task; Table 1 on a whole
+workload.
 
 A pair outside the agnostic space scores 1.0: it passes, and is counted.
 A pair passes when its score is at least :data:`EMF_THRESHOLD`, which
@@ -35,7 +37,7 @@ def emf_scores(
     out-of-space pairs among them (each scored 1.0)."""
     out = np.ones(len(pairs))
     scored = 0
-    for ks, a, b in pair_batches(group, pairs):
-        out[ks] = model.predict_proba(a, b)
+    for ks, sides, first, second in pair_batches(group, pairs):
+        out[ks] = model.predict_proba(sides, first, second)
         scored += len(ks)
     return out, len(pairs) - scored

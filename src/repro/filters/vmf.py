@@ -9,11 +9,11 @@ the whole group is cheaper than building an ANN graph and cannot miss
 a pair.
 
 A group enters as its packed :func:`~repro.encoding.agnostic.instance_group`;
-the §4.2.1 converter maps its columns to agnostic slots with one map
-for the whole group, and the model embeds the packed rows without
-padding. Both executors of :mod:`repro.core.pipeline` call
-:func:`group_pairs` once per SF-group; :func:`candidate_pairs` runs it
-over a whole workload. :func:`pair_distances` is the pairwise
+the §4.2.1 converter moves its tables and columns to agnostic slots
+with one slot map for the whole group, and the model embeds the packed
+node slots without padding. Both executors of
+:mod:`repro.core.pipeline` call :func:`group_pairs` once per SF-group;
+:func:`candidate_pairs` runs it over a whole workload. :func:`pair_distances` is the pairwise
 ``≈_VMF`` distance that :func:`calibrate_tau` and Table 5 use, built
 from the same packed pair batches as the EMF's scores.
 """
@@ -107,8 +107,9 @@ def pair_distances(model: EMF, pairs: list[tuple[Plan, Plan]]) -> np.ndarray:
     space. The pairs are embedded in the packed batches of
     :func:`~repro.encoding.agnostic.plan_pair_batches`."""
     out = np.full(len(pairs), np.nan)
-    for ks, a, b in plan_pair_batches(pairs):
-        diff = model.embed(*a, train=False)[0] - model.embed(*b, train=False)[0]
+    for ks, sides, first, second in plan_pair_batches(pairs):
+        z = model.embed(*sides, train=False)[0]
+        diff = z[first] - z[second]
         # a 1-D norm per row: the axis=1 norm rounds differently and moves τ
         out[ks] = [np.linalg.norm(d) for d in diff]
     return out

@@ -1,8 +1,9 @@
 """Numpy neural-network layers — the repo's PyTorch substitute.
 
 Functional-style layers: ``forward`` returns ``(output, cache)`` and
-``backward(cache, dout)`` returns the input gradient while *accumulating*
-parameter gradients into ``self.g``. Accumulation (rather than
+``backward(cache, dout)`` returns the input gradient (none for the first
+tree convolution, whose input is data) while *accumulating* parameter
+gradients into ``self.g``. Accumulation (rather than
 assignment) is what lets the tree-convolution stack be shared between
 the two sides of a subexpression pair (§5, Figure 6): call forward
 twice, backward twice, and parameter gradients sum correctly.
@@ -12,6 +13,8 @@ All layers are exercised by numeric gradient-check tests.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.encoding.instance import SENTINEL
 
 
 class Layer:
@@ -55,10 +58,12 @@ class TreeConv(Layer):
         H[i] = X[i]·Ws + X[left[i]]·Wl + X[right[i]]·Wr + b
 
     This is the Mou et al. [39] / Neo [37] triangle-convolution shape
-    the paper's EMF uses (§3.2, §5). One matmul against ``[Ws|Wl|Wr]``
-    computes all three terms; each node then adds its children's rows
-    of the ``Wl`` and ``Wr`` output blocks. Row −1, an absent child, is
-    the zero row appended to the product.
+    the paper's EMF uses (§3.2, §5). Each term is one product of the
+    rows it reads with its weight block: every row with ``Ws``, the
+    left children of the rows that have one with ``Wl``, the right
+    children with ``Wr``; an absent child adds nothing. This layer
+    takes dense rows (the second convolution); :class:`SparseTreeConv`
+    takes node slots.
     """
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
@@ -68,32 +73,83 @@ class TreeConv(Layer):
         self.p["Wr"] = _init(rng, d_in, d_out) * CHILD_SCALE
         self.p["b"] = np.zeros(d_out)
 
-    def _weights(self) -> np.ndarray:
-        return np.hstack([self.p["Ws"], self.p["Wl"], self.p["Wr"]])
+    def _product(self, X, rows, W: np.ndarray) -> np.ndarray:
+        """``X[rows]·W``; all rows when ``rows`` is None."""
+        return (X if rows is None else X[rows]) @ W
+
+    def _weight_grad(self, X, rows, dY: np.ndarray) -> np.ndarray:
+        """The gradient of ``W`` given that of ``X[rows]·W``."""
+        return (X if rows is None else X[rows]).T @ dY
+
+    def _input_grad(self, X, children, dH: np.ndarray):
+        dX = dH @ self.p["Ws"].T
+        for name, parent, child in children:
+            np.add.at(dX, child, dH[parent] @ self.p[name].T)
+        return dX
 
     def forward(self, X, left, right):
-        d = self.p["b"].shape[0]
-        Y = np.empty((X.shape[0] + 1, 3 * d))
-        np.matmul(X, self._weights(), out=Y[:-1])
-        Y[-1] = 0.0
-        H = Y[:-1, :d] + Y[left, d : 2 * d] + Y[right, 2 * d :] + self.p["b"]
-        return H, (X, left, right)
+        H = self._product(X, None, self.p["Ws"])
+        children = []
+        for name, child in (("Wl", left), ("Wr", right)):
+            parent = np.flatnonzero(child >= 0)
+            H[parent] += self._product(X, child[parent], self.p[name])
+            children.append((name, parent, child[parent]))
+        H += self.p["b"]
+        return H, (X, children)
 
     def backward(self, cache, dH):
-        X, left, right = cache
-        d = dH.shape[1]
-        # gradient of the product Y; child terms scatter onto child rows
-        dY = np.zeros((X.shape[0] + 1, 3 * d))
-        dY[:-1, :d] = dH
-        np.add.at(dY[:, d : 2 * d], left, dH)
-        np.add.at(dY[:, 2 * d :], right, dH)
-        dY = dY[:-1]
-        dW = X.T @ dY
-        self._acc("Ws", dW[:, :d])
-        self._acc("Wl", dW[:, d : 2 * d])
-        self._acc("Wr", dW[:, 2 * d :])
+        X, children = cache
+        self._acc("Ws", self._weight_grad(X, None, dH))
+        for name, parent, child in children:
+            self._acc(name, self._weight_grad(X, child, dH[parent]))
         self._acc("b", dH.sum(axis=0))
-        return dY @ self._weights().T
+        return self._input_grad(X, children, dH)
+
+
+_GATHER_BLOCK = 1 << 16  # float64 elements of one block's gathered weight rows
+
+
+class SparseTreeConv(TreeConv):
+    """The first tree convolution, on node rows given as the slots
+    ``(cols, vals)`` of a :class:`~repro.encoding.instance.Packed`.
+
+    A row's product with a weight block is the value-weighted sum of
+    its slots' weight rows: a K-step gather-and-sum, in row blocks of
+    :data:`_GATHER_BLOCK` gathered elements. The sentinel column of an
+    unused slot picks a zero row appended to the block. The rows are
+    data, so backward adds each column's rows of the product gradient
+    into that column's weight row and computes no input gradient.
+    """
+
+    @staticmethod
+    def _slots(X, rows):
+        cols, vals = X
+        return (cols, vals) if rows is None else (cols[rows], vals[rows])
+
+    def _product(self, X, rows, W: np.ndarray) -> np.ndarray:
+        cols, vals = self._slots(X, rows)
+        W = np.vstack([W, np.zeros((1, W.shape[1]))])  # row SENTINEL = −1
+        Y = np.empty((len(cols), W.shape[1]))
+        step = max(1, _GATHER_BLOCK // max(cols.shape[1] * W.shape[1], 1))
+        for s in range(0, len(cols), step):
+            np.einsum("nk,nkd->nd", vals[s : s + step], W[cols[s : s + step]],
+                      out=Y[s : s + step])
+        return Y
+
+    def _weight_grad(self, X, rows, dY: np.ndarray) -> np.ndarray:
+        cols, vals = self._slots(X, rows)
+        live = cols != SENTINEL
+        col = cols[live]
+        order = np.argsort(col, kind="stable")
+        col, row, val = col[order], np.nonzero(live)[0][order], vals[live][order]
+        dW = np.zeros((self.p["Ws"].shape[0], dY.shape[1]))
+        first = np.flatnonzero(np.diff(col, prepend=-1))
+        for a, b in zip(first, np.append(first[1:], len(col))):
+            dW[col[a]] = val[a:b] @ dY[row[a:b]]
+        return dW
+
+    def _input_grad(self, X, children, dH: np.ndarray) -> None:
+        return None
 
 
 class BatchNorm(Layer):

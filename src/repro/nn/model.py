@@ -12,11 +12,16 @@ The conv stack doubles as the VMF's embedding function (§2.2):
 :meth:`EMF.embed_eval` is what the vector-matching filter indexes.
 
 Every pass, training and eval, runs on
-:class:`~repro.encoding.instance.Packed` trees: one matmul per conv
-layer over all nodes of the batch with no padding rows, children added
-by a gather on output rows, max pooling per tree by
-``np.maximum.reduceat``, and the raw bag-of-nodes skip as per-tree row
-sums (``np.add.reduceat``).
+:class:`~repro.encoding.instance.Packed` trees, all nodes of a batch at
+once with no padding rows. Each conv layer multiplies every row by its
+self weights, and only the children of the rows that have them by the
+child weights. The first reads each node row's few non-zero slots
+(:class:`~repro.nn.layers.SparseTreeConv`, a gather-and-sum of weight
+rows); the second multiplies the dense hidden rows. Max pooling per
+tree is ``np.maximum.reduceat``, and the raw bag-of-nodes skip sums
+each tree's slots into its columns (``np.bincount``). Scoring embeds
+each distinct side of a batch once and gathers it into every pair that
+holds it (:meth:`EMF.predict_proba`).
 """
 from __future__ import annotations
 
@@ -24,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.instance import Packed
+from repro.encoding.instance import SENTINEL, Packed
 from repro.nn.layers import (
     BatchNorm,
     Dropout,
     Linear,
     MaxPoolNodes,
     PReLU,
+    SparseTreeConv,
     TreeConv,
 )
 
@@ -54,7 +60,7 @@ class EMF:
         rng = np.random.default_rng(config.seed)
         c1, c2 = config.conv
         f1, f2 = config.fc
-        self.conv1 = TreeConv(config.d_in, c1, rng)
+        self.conv1 = SparseTreeConv(config.d_in, c1, rng)
         self.bn1 = BatchNorm(c1)
         self.act1 = PReLU(c1)
         self.conv2 = TreeConv(c1, c2, rng)
@@ -86,11 +92,11 @@ class EMF:
         ]
 
     # -- tree embedding ----------------------------------------------
-    def embed(self, starts, X, left, right, train: bool):
+    def embed(self, starts, cols, vals, left, right, train: bool):
         """Embeddings (B, h) of B packed trees (the fields of a
         :class:`~repro.encoding.instance.Packed`): the conv stack on
         their rows, max-pooled per tree; + cache."""
-        h1, c_conv1 = self.conv1.forward(X, left, right)
+        h1, c_conv1 = self.conv1.forward((cols, vals), left, right)
         h1, c_bn1 = self.bn1.forward(h1, train)
         h1, c_act1 = self.act1.forward(h1)
         h2, c_conv2 = self.conv2.forward(h1, left, right)
@@ -109,21 +115,29 @@ class EMF:
         d = self.bn1.backward(c_bn1, d)
         self.conv1.backward(c_conv1, d)
 
-    def embed_eval(self, starts, X, left, right) -> np.ndarray:
+    def embed_eval(self, starts, cols, vals, left, right) -> np.ndarray:
         """The VMF's embedding of one SF-group (§2.2): eval-mode
         :meth:`embed` under its own name. The cascade calls it once per
         SF-group and nowhere else, so a profile of it counts the VMF's
         embeddings."""
-        return self.embed(starts, X, left, right, train=False)[0]
+        return self.embed(starts, cols, vals, left, right, train=False)[0]
+
+    def _bag(self, trees: Packed) -> np.ndarray:
+        """The raw bag of nodes (B, d_in): each tree's node rows summed,
+        slot by slot in row order."""
+        d, n = self.config.d_in, len(trees.starts)
+        tree = np.repeat(np.arange(n), trees.sizes * trees.cols.shape[1])
+        col = np.where(trees.cols == SENTINEL, d, trees.cols).ravel()
+        bag = np.bincount(tree * (d + 1) + col, weights=trees.vals.ravel(),
+                          minlength=n * (d + 1))
+        return bag.reshape(n, d + 1)[:, :d]
 
     # -- pair classification -----------------------------------------
     def forward_pair(self, a: Packed, b: Packed, train: bool):
         """Logits (B,) of B pairs of packed trees + cache."""
         za, ca = self.embed(*a, train)
         zb, cb = self.embed(*b, train)
-        ra = np.add.reduceat(a.X, a.starts, axis=0)
-        rb = np.add.reduceat(b.X, b.starts, axis=0)
-        logits, head = self._head(za, zb, ra, rb, train)
+        logits, head = self._head(za, zb, self._bag(a), self._bag(b), train)
         return logits, (ca, cb, head)
 
     def _head(self, za, zb, ra, rb, train: bool):
@@ -161,10 +175,13 @@ class EMF:
         self.embed_backward(ca, dza)
         self.embed_backward(cb, dzb)
 
-    def predict_proba(self, a: Packed, b: Packed) -> np.ndarray:
-        """Eval-mode equivalence probabilities (B,) of B pairs of packed
-        trees."""
-        logits, _ = self.forward_pair(a, b, train=False)
+    def predict_proba(self, sides: Packed, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Eval-mode equivalence probabilities (B,) of the B pairs of
+        packed trees ``(sides[first[k]], sides[second[k]])``: each side
+        is embedded once, however many pairs hold it."""
+        z = self.embed(*sides, train=False)[0]
+        r = self._bag(sides)
+        logits, _ = self._head(z[first], z[second], r[first], r[second], train=False)
         return 1.0 / (1.0 + np.exp(-logits))
 
     # -- persistence --------------------------------------------------

@@ -44,7 +44,7 @@ def default_model(*, train_pairs: int = TRAIN_PAIRS, epochs: int = EPOCHS) -> EM
         epochs=epochs,
         cfg=CONFIG,
         space=DEFAULT_SPACE,
-        v=4,  # bump when the encoding or the training changes the weights
+        v=5,  # bump when the encoding or the training changes the weights
     )
 
     def build() -> EMF:

@@ -2,10 +2,11 @@
 
 Labeled plan pairs go through the cascade's pair encoder, the §4.2.1
 converter (:func:`~repro.encoding.agnostic.plan_pair_batches`).
-Training concatenates its packed batches into one
-:class:`PairTensors` and draws Adam + BCE minibatches from it;
-prediction scores the batches as they come. Metrics are the accuracy,
-precision, recall, F1 and confusion counts of Tables 3–5.
+Training gathers each batch's pairs out of its packed sides,
+concatenates them into one :class:`PairTensors` and draws Adam + BCE
+minibatches from it; prediction scores the batches as they come.
+Metrics are the accuracy, precision, recall, F1 and confusion counts
+of Tables 3–5.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.plan import Plan
-from repro.encoding.agnostic import DEFAULT_SPACE, plan_pair_batches
-from repro.encoding.instance import Packed, offsets
+from repro.encoding.agnostic import plan_pair_batches
+from repro.encoding.instance import SENTINEL, Packed, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
@@ -34,24 +35,32 @@ log = logging.getLogger(__name__)
 
 
 def take(packed: Packed, trees: np.ndarray) -> Packed:
-    """The trees ``trees`` (indices) of ``packed``, packed in that order."""
+    """The trees ``trees`` (indices) of ``packed``, packed in that order,
+    with as many slots as their fullest row."""
     sizes = packed.sizes[trees]
     starts = offsets(sizes)
     shift = np.repeat(packed.starts[trees] - starts, sizes)  # old row − new row
     rows = np.arange(len(shift)) + shift
     child = lambda c: np.where(c[rows] >= 0, c[rows] - shift, -1)
-    return Packed(starts, packed.X[rows], child(packed.left), child(packed.right))
+    cols = packed.cols[rows]
+    k = int((cols != SENTINEL).sum(axis=1).max(initial=0))
+    return Packed(starts, cols[:, :k], packed.vals[rows, :k],
+                  child(packed.left), child(packed.right))
 
 
 def concat(parts: list[Packed]) -> Packed:
-    """``parts`` packed one after another, child rows shifted."""
-    base = offsets(np.array([len(p.X) for p in parts], dtype=np.intp))
-    shift = lambda c, k: np.where(c >= 0, c + k, -1)
+    """``parts`` packed one after another, child rows shifted and rows
+    widened to the most slots of a part."""
+    base = offsets(np.array([len(p.cols) for p in parts], dtype=np.intp))
+    k = max(p.cols.shape[1] for p in parts)
+    shift = lambda c, b: np.where(c >= 0, c + b, -1)
+    widen = lambda a, fill: np.pad(a, ((0, 0), (0, k - a.shape[1])), constant_values=fill)
     return Packed(
-        np.concatenate([p.starts + k for p, k in zip(parts, base)]),
-        np.concatenate([p.X for p in parts]),
-        np.concatenate([shift(p.left, k) for p, k in zip(parts, base)]),
-        np.concatenate([shift(p.right, k) for p, k in zip(parts, base)]),
+        np.concatenate([p.starts + b for p, b in zip(parts, base)]),
+        np.concatenate([widen(p.cols, SENTINEL) for p in parts]),
+        np.concatenate([widen(p.vals, 0.0) for p in parts]),
+        np.concatenate([shift(p.left, b) for p, b in zip(parts, base)]),
+        np.concatenate([shift(p.right, b) for p, b in zip(parts, base)]),
     )
 
 
@@ -77,12 +86,13 @@ def encode_pairs(pairs: list[LabeledPair]) -> PairTensors:
     does."""
     batches = list(plan_pair_batches([(p.p1, p.p2) for p in pairs]))
     if not batches:  # no pair fits: zero pairs
-        empty = Packed(np.zeros(0, np.intp), np.zeros((0, DEFAULT_SPACE.nv_size)),
-                       np.zeros(0, np.intp), np.zeros(0, np.intp))
+        none = np.zeros(0, np.intp)
+        empty = Packed(none, np.zeros((0, 0), np.intp), np.zeros((0, 0)), none, none)
         return PairTensors(empty, empty, np.zeros(0))
-    ks, a, b = zip(*batches)
+    ks, sides, first, second = zip(*batches)
     y = np.array([float(pairs[k].label) for k in np.concatenate(ks)])
-    return PairTensors(concat(a), concat(b), y)
+    return PairTensors(concat(list(map(take, sides, first))),
+                       concat(list(map(take, sides, second))), y)
 
 
 # --------------------------------------------------------------------------
@@ -169,9 +179,9 @@ def predict(model: EMF, pairs: list[tuple[Plan, Plan]]) -> tuple[np.ndarray, np.
     """Equivalence probabilities of the plan pairs that fit the agnostic
     space: (their positions in ``pairs``, probabilities)."""
     pos, proba = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for ks, a, b in plan_pair_batches(pairs):
+    for ks, sides, first, second in plan_pair_batches(pairs):
         pos.append(ks)
-        proba.append(model.predict_proba(a, b))
+        proba.append(model.predict_proba(sides, first, second))
     return np.concatenate(pos), np.concatenate(proba)
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
 from repro.core.record import PlanRecord, records
 from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic, instance_group
-from repro.encoding.instance import pack_encs
 from repro.filters import vmf as vmf_module
 from repro.filters.emf_filter import emf_scores
 from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
@@ -18,6 +17,7 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
+from repro.nn.train import concat
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCH_LITE
 from tests.test_plan import fig1_q1, fig1_q2
@@ -182,8 +182,8 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
 def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
     """From-scratch reference for :func:`emf_scores`: each pair encoded
     by ``encode_pair_agnostic`` on its canonical plans, packed and
-    predicted in the same batches; an out-of-space pair scores 1.0 and
-    is counted."""
+    predicted in the same batches, with no side shared between pairs;
+    an out-of-space pair scores 1.0 and is counted."""
     out = np.ones(len(plan_pairs))
     ks, encs = [], []
     for k, (a, b) in enumerate(plan_pairs):
@@ -193,8 +193,9 @@ def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
             continue
         ks.append(k)
     for s in range(0, len(ks), PAIR_BATCH):
-        ea, eb = zip(*encs[s : s + PAIR_BATCH])
-        out[ks[s : s + PAIR_BATCH]] = model.predict_proba(pack_encs(ea), pack_encs(eb))
+        batch = encs[s : s + PAIR_BATCH]
+        first = 2 * np.arange(len(batch))  # pair k is trees 2k and 2k + 1
+        out[ks[s : s + PAIR_BATCH]] = model.predict_proba(concat(batch), first, first + 1)
     return out, len(plan_pairs) - len(ks)
 
 

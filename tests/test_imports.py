@@ -8,9 +8,9 @@ exempt.
 
 The layers below the workload generator never import it, the NN
 stack takes plan tensors only from the encoders' pair batches and takes
-no node mask, only the AV turns a ``RuntimeError`` into a verdict, and
-the cascade's stages take plans apart only through their plan
-records."""
+no node mask, node rows travel as slots and never as a dense node
+matrix, only the AV turns a ``RuntimeError`` into a verdict, and the
+cascade's stages take plans apart only through their plan records."""
 import ast
 from pathlib import Path
 
@@ -159,6 +159,43 @@ def test_nn_takes_no_mask():
         if isinstance(arg, ast.arg) and "mask" in arg.arg.lower()
     ]
     assert not bad, "repro.nn takes a mask:\n" + "\n".join(bad)
+
+
+# Node rows travel as their non-zero slots from the encoder to the first
+# conv layer. A dense node matrix is how the dense path would come back:
+# Packed carries none, and no encoder or NN function sizes an array by
+# |NV| except densify, the flat baselines' and the tests' helper.
+def test_packed_carries_no_dense_node_matrix():
+    from repro.encoding.instance import Packed
+
+    assert Packed._fields == ("starts", "cols", "vals", "left", "right")
+
+
+ARRAY_MAKERS = ("zeros", "empty", "ones", "full")
+DENSIFIERS = ("densify",)
+
+
+def _array_calls(tree: ast.AST, fn: str = ""):
+    """(call, innermost enclosing function) of every ``np.<maker>(...)``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ARRAY_MAKERS):
+            yield node, fn
+        yield from _array_calls(node, inner)
+
+
+def test_no_array_is_sized_by_nv_size():
+    bad = [
+        f"{path.relative_to(ROOT)}:{call.lineno}: {fn or '<module>'}"
+        for part in ("encoding", "nn")
+        for path in sorted((ROOT / "src" / "repro" / part).rglob("*.py"))
+        for call, fn in _array_calls(ast.parse(path.read_text()))
+        if fn not in DENSIFIERS
+        and any(isinstance(n, ast.Attribute) and n.attr == "nv_size"
+                or isinstance(n, ast.Name) and n.id == "nv_size" for n in ast.walk(call))
+    ]
+    assert not bad, "arrays sized by nv_size:\n" + "\n".join(bad)
 
 
 # The cascade's stages read each plan's record (repro.core.record): none

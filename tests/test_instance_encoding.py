@@ -4,11 +4,24 @@ import pytest
 
 from repro.core.plan import JOIN_TYPES, Join, bfs
 from repro.core.record import PlanRecord
-from repro.encoding.instance import Vocab, encode_tree, norm_const, schema_vocab
+from repro.encoding.instance import (
+    Vocab,
+    densify,
+    encode_tree,
+    norm_const,
+    pack_encs,
+    schema_vocab,
+    stack_encs,
+)
 from repro.solver.linexpr import OPS
 from repro.workload.generator import random_plans
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_plan import fig1_q1
+
+
+def _dense(plan, v: Vocab) -> np.ndarray:
+    """The dense node matrix of ``plan`` over ``v``."""
+    return densify(pack_encs([encode_tree(plan)], v), v.nv_size)
 
 
 def _ab_vocab() -> Vocab:
@@ -34,9 +47,9 @@ def test_segments_partition_vector():
 
 def test_encode_shapes_and_children():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
+    enc = encode_tree(fig1_q1())
     m = len(list(bfs(fig1_q1())))
-    assert enc.X.shape == (m, v.nv_size)
+    assert _dense(fig1_q1(), v).shape == (m, v.nv_size)
     # BFS: Project, Filter, Filter, Join, ScanA, ScanB
     assert enc.left.tolist() == [1, 2, 3, 4, -1, -1]
     assert enc.right.tolist() == [-1, -1, -1, 5, -1, -1]
@@ -44,17 +57,16 @@ def test_encode_shapes_and_children():
 
 def test_scan_nodes_one_hot_table_only():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
+    X = _dense(fig1_q1(), v)
     for i in (4, 5):
-        row = enc.X[i]
+        row = X[i]
         assert row[: v.n_t].sum() == 1.0
         assert row[v.n_t :].sum() == 0.0
 
 
 def test_join_node_segments():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
-    row = enc.X[3]  # the Join node
+    row = _dense(fig1_q1(), v)[3]  # the Join node
     cl = row[v.off_join_cl : v.off_join_cl + v.n_c]
     cr = row[v.off_join_cr : v.off_join_cr + v.n_c]
     assert cl.sum() == 1.0 and cr.sum() == 1.0
@@ -69,16 +81,15 @@ def test_canonical_encoding_keeps_the_join_type(jointype):
     or semi join keeps its own join-type slot."""
     v = _ab_vocab()
     plan = PlanRecord(fig1_q1(jointype)).canonical
-    enc = encode_tree(plan, v)
+    X = _dense(plan, v)
     (i,) = [i for i, n in enumerate(bfs(plan)) if isinstance(n, Join)]
-    slots = enc.X[i, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)]
+    slots = X[i, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)]
     assert slots.tolist() == [float(t == jointype) for t in JOIN_TYPES]
 
 
 def test_single_column_filter_in_select_segment():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
-    row = enc.X[1]  # Filter B.val > 10
+    row = _dense(fig1_q1(), v)[1]  # Filter B.val > 10
     assert row[v.off_sel_c + v.col_idx("B.val")] == 1.0
     assert row[v.off_sel_op + OPS.index(">")] == 1.0
     assert abs(row[v.off_const] - norm_const(10.0)) < 1e-6
@@ -86,8 +97,7 @@ def test_single_column_filter_in_select_segment():
 
 def test_two_column_filter_uses_join_segment_with_const():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
-    row = enc.X[2]  # Filter A.val > B.val + 10
+    row = _dense(fig1_q1(), v)[2]  # Filter A.val > B.val + 10
     assert row[v.off_join_cl + v.col_idx("A.val")] == 1.0
     assert row[v.off_join_cr + v.col_idx("B.val")] == 1.0
     assert abs(row[v.off_const] - norm_const(10.0)) < 1e-6
@@ -97,8 +107,7 @@ def test_two_column_filter_uses_join_segment_with_const():
 
 def test_project_multi_hot():
     v = _ab_vocab()
-    enc = encode_tree(fig1_q1(), v)
-    row = enc.X[0]
+    row = _dense(fig1_q1(), v)[0]
     sel = row[v.off_sel_c : v.off_sel_c + v.n_c]
     assert abs(sel.sum() - 2.25) < 1e-6  # 1.0 + (1 + 0.25): position-weighted
     assert sel[v.col_idx("A.x")] == 1.0  # position 0
@@ -110,9 +119,9 @@ def test_project_position_weights_distinguish_order():
 
     v = _ab_vocab()
     child = fig1_q1().child
-    xy = encode_tree(Project((Col("A", "x"), Col("B", "y")), child), v)
-    yx = encode_tree(Project((Col("B", "y"), Col("A", "x")), child), v)
-    assert not np.array_equal(xy.X[0], yx.X[0])
+    xy = _dense(Project((Col("A", "x"), Col("B", "y")), child), v)
+    yx = _dense(Project((Col("B", "y"), Col("A", "x")), child), v)
+    assert not np.array_equal(xy[0], yx[0])
 
 
 def test_norm_const_bounded_and_monotone():
@@ -127,7 +136,53 @@ def test_norm_const_bounded_and_monotone():
 def test_encoding_deterministic_across_random_plans():
     v = schema_vocab(TPCDS_LITE)
     for p in random_plans(TPCDS_LITE, 15, seed=8):
-        a, b = encode_tree(p, v), encode_tree(p, v)
-        assert np.array_equal(a.X, b.X)
+        a, b = encode_tree(p), encode_tree(p)
+        assert np.array_equal(_dense(p, v), _dense(p, v))
         assert np.array_equal(a.left, b.left)
-        assert a.X.shape[1] == v.nv_size
+        assert _dense(p, v).shape[1] == v.nv_size
+
+
+def _entries(plan, v: Vocab, row: int) -> dict[int, float]:
+    """Node ``row``'s placed entries over ``v``: column → value."""
+    _, _, rows, cols, vals, *_ = stack_encs([encode_tree(plan)], v)
+    return dict(zip(cols[rows == row].tolist(), vals[rows == row].tolist()))
+
+
+def test_project_duplicate_column_sums_into_one_entry():
+    """A column projected twice is one entry holding the sum of its
+    position weights, as the dense ``+=`` held it."""
+    from repro.core.plan import Col, Project
+
+    v = _ab_vocab()
+    plan = Project((Col("A", "x"), Col("B", "y"), Col("A", "x")), fig1_q1().child)
+    assert _entries(plan, v, 0) == {
+        v.off_sel_c + v.col_idx("A.x"): 1.0 + 1.5,
+        v.off_sel_c + v.col_idx("B.y"): 1.25,
+    }
+
+
+def test_zero_values_are_not_entries():
+    """A one-column predicate's null slot and a constant that normalizes
+    to 0 store no entry."""
+    from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
+
+    v = _ab_vocab()
+    plan = Project((Col("A", "x"),), Filter(
+        Comparison(Col("A", "val"), ">", Const(0.0)), Scan("A", "A")))
+    assert _entries(plan, v, 1) == {
+        v.off_sel_c + v.col_idx("A.val"): 1.0,
+        v.off_sel_op + OPS.index(">"): 1.0,
+    }
+
+
+def test_values_keep_float32_rounding():
+    """Entry values are the float32 values the dense node matrix held,
+    widened to float64."""
+    from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
+
+    v = _ab_vocab()
+    pred = Comparison(Col("A", "val"), ">", Const(1.1))
+    plan = Project((Col("A", "x"),), Filter(pred, Scan("A", "A")))
+    want = norm_const(-float(PlanRecord(plan).constraint(pred).expr.const))
+    got = _entries(plan, v, 1)[v.off_const]
+    assert got == float(np.float32(want)) and got != want

@@ -3,12 +3,15 @@ so this is the safety net."""
 import numpy as np
 import pytest
 
+from repro.encoding.instance import SENTINEL, Packed, densify
+from repro.nn import layers
 from repro.nn.layers import (
     BatchNorm,
     Dropout,
     Linear,
     MaxPoolNodes,
     PReLU,
+    SparseTreeConv,
     TreeConv,
 )
 
@@ -86,6 +89,59 @@ def test_treeconv_matches_triangle_formula():
         if right[i] >= 0:
             want = want + X[right[i]] @ p["Wr"]
         assert np.allclose(out[i], want, atol=1e-12)
+
+
+def _slotted_rows(N, D, K, g):
+    """N random node rows of D columns as K slots, each row 1–K
+    non-zeros (sorted columns, then sentinels)."""
+    cols = np.full((N, K), SENTINEL)
+    vals = np.zeros((N, K))
+    for i, n in enumerate(g.integers(1, K + 1, N)):
+        cols[i, :n] = np.sort(g.choice(D, n, replace=False))
+        vals[i, :n] = g.standard_normal(n)
+    return cols, vals
+
+
+@pytest.mark.parametrize("K", [1, 3, 6])
+def test_sparse_treeconv_matches_dense_product(K, monkeypatch):
+    """The slot layer's product is ``X @ [Ws|Wl|Wr]`` of the dense rows,
+    across gather blocks and for a subset of rows, and its output is the
+    dense layer's."""
+    monkeypatch.setattr(layers, "_GATHER_BLOCK", 64)  # several blocks
+    g = np.random.default_rng(K)
+    N, D = 40, 9
+    cols, vals = _slotted_rows(N, D, K, g)
+    left = np.where(g.random(N) < 0.5, g.integers(0, N, N), -1)
+    right = np.where(g.random(N) < 0.5, g.integers(0, N, N), -1)
+    X = densify(Packed(np.zeros(1, np.intp), cols, vals, left, right), D)  # one tree
+    sparse, dense = SparseTreeConv(D, 5, g), TreeConv(D, 5, g)
+    dense.p = {k: v.copy() for k, v in sparse.p.items()}
+    W = np.hstack([sparse.p["Ws"], sparse.p["Wl"], sparse.p["Wr"]])
+    rows = g.integers(0, N, N // 2)
+    assert np.abs(sparse._product((cols, vals), None, W) - X @ W).max() <= 1e-12
+    assert np.abs(sparse._product((cols, vals), rows, W) - X[rows] @ W).max() <= 1e-12
+    H, _ = sparse.forward((cols, vals), left, right)
+    assert np.abs(H - dense.forward(X, left, right)[0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pname", ["Ws", "Wl", "Wr", "b"])
+def test_sparse_treeconv_param_grads(pname):
+    """Numeric gradient check of the slot layer; it returns no input
+    gradient (its input is data)."""
+    _, X, left, right = _trees()
+    g = np.random.default_rng(1)
+    cols, vals = _slotted_rows(len(X), 6, 3, g)
+    layer = SparseTreeConv(6, 5, RNG)
+    dout = RNG.standard_normal((len(X), 5))
+
+    def loss():
+        out, _ = layer.forward((cols, vals), left, right)
+        return float((out * dout).sum())
+
+    out, cache = layer.forward((cols, vals), left, right)
+    layer.zero_grads()
+    assert layer.backward(cache, dout) is None
+    assert np.allclose(layer.g[pname], num_grad(loss, layer.p[pname]), atol=1e-5)
 
 
 def test_batchnorm_grads():

@@ -3,17 +3,20 @@ save/load, and actual learning on a small workload."""
 import numpy as np
 import pytest
 
-from repro.encoding.instance import Packed, offsets
+from repro.encoding.agnostic import DEFAULT_SPACE
+from repro.encoding.instance import SENTINEL, Packed, offsets
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.train import (
     PairTensors,
     bce_with_logits,
     cache_key,
     cached_model,
+    concat,
     confusion,
     encode_pairs,
     evaluate,
     metrics,
+    take,
     train_emf,
 )
 from repro.workload.labeler import make_dataset
@@ -22,16 +25,21 @@ from repro.workload.schema import TPCH_LITE
 _CFG = EMFConfig(d_in=7, conv=(8, 6), fc=(10, 5), dropout=0.0, seed=3)
 
 
-def _trees(g, B, M, D) -> Packed:
-    """B random packed trees of 1–M rows; children are random rows of
-    the same tree or absent."""
+def _trees(g, B, M, D, K=3) -> Packed:
+    """B random packed trees of 1–M rows, each row 1–K random non-zero
+    columns of D; children are random rows of the same tree or absent."""
     sizes = g.integers(1, M + 1, B)
     starts = offsets(sizes)
     tree = np.repeat(np.arange(B), sizes)
     child = lambda: np.where(
         g.random(len(tree)) < 0.5, starts[tree] + g.integers(0, sizes[tree]), -1
     )
-    return Packed(starts, g.standard_normal((sizes.sum(), D)), child(), child())
+    cols = np.full((len(tree), K), SENTINEL)
+    vals = np.zeros((len(tree), K))
+    for i, n in enumerate(g.integers(1, K + 1, len(tree))):
+        cols[i, :n] = np.sort(g.choice(D, n, replace=False))
+        vals[i, :n] = g.standard_normal(n)
+    return Packed(starts, cols, vals, child(), child())
 
 
 def _pair_batch(B=3, M=4, D=7, seed=0):
@@ -93,15 +101,28 @@ def test_symmetric_embedding_shared_weights():
     assert np.allclose(za, zb)
 
 
+def test_predict_proba_embeds_shared_sides_once():
+    """Pairs that share sides score as the pairs gathered out of them and
+    run through ``forward_pair``."""
+    a, b, _ = _pair_batch(B=4, seed=2)
+    sides = concat([a, b])
+    first, second = np.array([0, 5, 5, 7, 0]), np.array([4, 1, 2, 2, 6])
+    model = EMF(_CFG)
+    logits, _ = model.forward_pair(take(sides, first), take(sides, second), train=False)
+    np.testing.assert_allclose(model.predict_proba(sides, first, second),
+                               1.0 / (1.0 + np.exp(-logits)), rtol=0, atol=1e-12)
+
+
 def test_save_load_roundtrip(tmp_path):
     a, b, y = _pair_batch()
+    sides, first = concat([a, b]), np.arange(len(y))  # pair k: trees k and k + 3
     model = EMF(_CFG)
-    p1 = model.predict_proba(a, b)
+    p1 = model.predict_proba(sides, first, first + len(y))
     path = tmp_path / "emf.npz"
     path.write_bytes(model.to_bytes())
     loaded = EMF.load(str(path))
     assert loaded.config == _CFG
-    assert np.allclose(loaded.predict_proba(a, b), p1)
+    assert np.allclose(loaded.predict_proba(sides, first, first + len(y)), p1)
 
 
 def test_cached_model_rebuilds_corrupt_or_mismatched_cache(tmp_path):
@@ -182,7 +203,7 @@ def test_learns_equivalence_on_real_pairs():
     assert n == len(ds)  # every pair fits the agnostic space: rows are ds's order
     idx = np.arange(n)
     train_idx, test_idx = idx[: int(0.85 * n)], idx[int(0.85 * n) :]
-    cfg = EMFConfig(d_in=data.a.X.shape[1], conv=(64, 48), fc=(48, 24),
+    cfg = EMFConfig(d_in=DEFAULT_SPACE.nv_size, conv=(64, 48), fc=(48, 24),
                     dropout=0.2, seed=0)
     model = EMF(cfg)
     train_emf(model, data.subset(train_idx), epochs=30, batch_size=64, seed=2)

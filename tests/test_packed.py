@@ -1,13 +1,13 @@
 """Parity of the batched packed path with each tree scored alone.
 
 The VMF's embeddings and the EMF's scores run on packed SF-groups
-(``instance_group`` → column maps → ``EMF.embed_eval`` /
+(``instance_group`` → slot maps → ``EMF.embed_eval`` /
 ``EMF.predict_proba``), many trees per batch. The reference encodes
 each plan directly and embeds it alone as a one-tree batch (each pair
 alone as a one-pair batch): on every SF-group of the Table 1 pool and
 on an out-of-space group, the two agree to rounding, and every decision
 the cascade takes from them is identical. Training tensors are the
-converter's batches concatenated, and a subset of them equals the
+converter's pairs gathered and concatenated, and a subset of them equals the
 subset's pairs encoded directly."""
 import itertools
 
@@ -25,16 +25,17 @@ from repro.encoding.agnostic import (
 from repro.experiments.table1 import planted_pool
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
-from repro.encoding.instance import Packed, pack_encs
+from repro.encoding.instance import Packed, densify
 from repro.filters.vmf import (
     TARGET_RECALL,
     calibrate_tau,
     embed_group,
+    group_pairs,
     pair_distances,
     radius_join,
 )
 from repro.nn.model import EMF, EMFConfig
-from repro.nn.train import encode_pairs, predict, train_emf
+from repro.nn.train import concat, encode_pairs, predict, take, train_emf
 from repro.workload.labeler import LabeledPair, make_dataset, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_filters import _wide_plan
@@ -50,8 +51,8 @@ def pool(emf_model):
 
 def single_embeddings(model, plans) -> np.ndarray:
     """Each plan of a group encoded directly and embedded alone."""
-    encs = encode_group_agnostic([PlanRecord(p).canonical for p in plans])
-    return np.concatenate([model.embed_eval(*pack_encs([e])) for e in encs])
+    trees = encode_group_agnostic([PlanRecord(p).canonical for p in plans])
+    return np.concatenate([model.embed_eval(*take(trees, [k])) for k in range(len(plans))])
 
 
 def single_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
@@ -61,11 +62,11 @@ def single_scores(model, plans, pairs) -> tuple[np.ndarray, int]:
     canonical = [PlanRecord(p).canonical for p in plans]
     for k, (i, j) in enumerate(pairs):
         try:
-            ea, eb = encode_pair_agnostic(canonical[i], canonical[j])
+            both = encode_pair_agnostic(canonical[i], canonical[j])
         except ValueError:
             skipped += 1
             continue
-        out[k] = model.predict_proba(pack_encs([ea]), pack_encs([eb]))[0]
+        out[k] = model.predict_proba(both, [0], [1])[0]
     return out, skipped
 
 
@@ -135,9 +136,8 @@ def test_encode_pairs_matches_direct_encoder():
         y.append(float(p.label))
     assert len(encs) == len(pairs) - 1
     data = encode_pairs(pairs)
-    ea, eb = zip(*encs)
-    _assert_packed_equal(data.a, pack_encs(ea))
-    _assert_packed_equal(data.b, pack_encs(eb))
+    _assert_packed_equal(data.a, concat([take(e, [0]) for e in encs]))
+    _assert_packed_equal(data.b, concat([take(e, [1]) for e in encs]))
     np.testing.assert_array_equal(data.y, y)
 
 
@@ -165,7 +165,7 @@ def test_encode_pairs_without_a_fitting_pair(wide):
     assert len(data) == 0
     for side in (data.a, data.b):
         assert side.starts.shape == side.left.shape == side.right.shape == (0,)
-        assert side.X.shape == (0, DEFAULT_SPACE.nv_size)
+        assert len(side.cols) == len(side.vals) == 0
     cfg = EMFConfig(d_in=DEFAULT_SPACE.nv_size, conv=(4, 4), fc=(4, 2), dropout=0.0, seed=3)
     model = EMF(cfg)
     before = model.to_bytes()
@@ -199,3 +199,40 @@ def test_pair_distances_match_single_trees(emf_model):
     tau = float(np.quantile(reference, TARGET_RECALL))
     # a few ulps of τ ≈ 4.4 is ~1e-15; a drift of 1e-11 is a change
     assert abs(calibrate_tau(emf_model, pairs) - tau) <= 1e-12
+
+
+def test_emf_embeds_each_distinct_side_once(emf_model, pool, monkeypatch):
+    """On every SF-group's VMF survivors, ``emf_scores`` equals each
+    pair scored alone, and it embeds each distinct side once: a side is
+    a plan under its pair's slots, told apart here by the plan and its
+    direct pairwise encoding."""
+    plans, tau = pool
+    embedded = []
+    real = EMF.predict_proba
+
+    def counted(self, sides, first, second):
+        embedded.append(len(sides.starts))
+        return real(self, sides, first, second)
+
+    distinct = n_pairs = 0
+    for ids in sf_groups(plans).values():
+        local = [plans[i] for i in ids]
+        group = instance_group(records(local))
+        pairs = sorted(group_pairs(emf_model, group, tau=tau)[0]) if len(ids) > 1 else []
+        if not pairs:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(EMF, "predict_proba", counted)
+            scores, passed = emf_scores(emf_model, pairs, group)
+        reference, _ = single_scores(emf_model, local, pairs)
+        assert passed == 0 and np.abs(scores - reference).max() <= 1e-12
+        canonical = [PlanRecord(p).canonical for p in local]
+        sides = set()
+        for i, j in pairs:
+            both = encode_pair_agnostic(canonical[i], canonical[j])
+            for k, tree in ((i, take(both, [0])), (j, take(both, [1]))):
+                sides.add((k, densify(tree, DEFAULT_SPACE.nv_size).tobytes()))
+        distinct += len(sides)
+        n_pairs += len(pairs)
+    assert n_pairs == 217
+    assert sum(embedded) == distinct == 264

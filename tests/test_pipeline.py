@@ -183,6 +183,22 @@ def test_each_plan_is_encoded_once_per_group(emf_model, tau, workload, monkeypat
     assert len(encoded) == len(multi)
 
 
+def test_one_call_walks_each_plan_three_times(emf_model, monkeypatch):
+    """On the Table 1 pool (320 plans), one call walks each plan at most
+    three times: the SF key, the record's ``decompose`` and the
+    encoder's walk. The encoder takes its vocabulary from its own
+    entries and its aliases from the record."""
+    from repro.core import plan as plan_module
+    from repro.experiments.table1 import FAMILY_TIERS, TABLE_SETS
+
+    w = make_planted_workload(TPCDS_LITE, n_subexpr=320, n_equiv=50, seed=100,
+                              table_sets=TABLE_SETS, max_proj=2, family_tiers=FAMILY_TIERS)
+    walks = _count_calls(monkeypatch, plan_module.bfs)
+    res = geqo_set_local(w.plans, emf_model, tau=4.4)
+    assert res.av_pairs_checked > 0
+    assert len(walks) <= 3 * len(w.plans) == 960
+
+
 def _left_join_plan():
     return Project((Col("A", "x"),), Join(
         Scan("A", "A"), Scan("B", "B"), Comparison(Col("A", "k"), "=", Col("B", "k")), "left"))
@@ -205,7 +221,7 @@ def test_record_fallbacks_encode_as_written():
     assert recs[0].spj is None and recs[1].spj is not None
     assert all(r.canonical is p for r, p in zip(recs, plans))
     group = instance_group(recs)
-    direct = pack_group([encode_tree(p, group.vocab) for p in plans], group.vocab)
+    direct = pack_group([encode_tree(p) for p in plans], group.vocab)
     for field in ("starts", "left", "right", "nz_row", "nz_col", "nz_val"):
         np.testing.assert_array_equal(getattr(group, field), getattr(direct, field))
 
