@@ -18,12 +18,13 @@ Two encoders assign these slots, and must agree bit-for-bit (tested):
   re-walking every plan per pair, and the cascade runs on it:
   :func:`instance_group` encodes the canonical plan of each plan record
   (:mod:`repro.core.record`) of an SF-group once, takes the group's
-  vocabulary from the entries, and packs the non-zero entries of all
-  its plans, with no padding, into an :class:`InstanceGroup` that keeps
-  each plan's ``m_T``/``m_C`` masks of referenced tables and columns.
-  The slots of a set of plans are ranks in the union of their masks, so
-  the converter moves each entry's table or column to its slot: one
-  slot map for a whole group (:func:`group_agnostic`, the VMF's n-ary
+  vocabulary from the entries, and packs its plans once into an
+  :class:`InstanceGroup`: the trees (a :class:`Packed`) and each plan's
+  ``m_T``/``m_C`` masks of referenced tables and columns. The slots of a
+  set of plans are ranks in the union of their masks, so the converter
+  gathers the trees it needs (:func:`~repro.encoding.instance.take`)
+  and moves each table or column slot to its agnostic slot: one slot
+  map for a whole group (:func:`group_agnostic`, the VMF's n-ary
   encoding) or one per pair (:func:`pair_batches`, the EMF's pairwise
   encoding, which converts each distinct side of a batch once);
   :func:`plan_pair_batches` for plan pairs (labelled data, τ
@@ -43,14 +44,13 @@ from repro.core.subexpr import referenced_by_table
 from repro.encoding.instance import (
     COLUMN_SEGMENTS,
     SEGMENTS,
+    SENTINEL,
     Packed,
     TreeEnc,
     Vocab,
     encode_tree,
-    offsets,
     pack_encs,
-    slotted,
-    stack_encs,
+    take,
 )
 
 
@@ -108,7 +108,7 @@ def encode_group_agnostic(plans: list[Plan]) -> Packed:
     n-ary variant (§4.2.2) is what the VMF applies per SF-group.
     """
     vocab = group_vocab(referenced_by_table(plans))
-    return pack_encs([encode_tree(p) for p in plans], vocab)
+    return pack_encs([encode_tree(p) for p in plans], vocab)[1]
 
 
 def encode_pair_agnostic(p1: Plan, p2: Plan) -> Packed:
@@ -129,58 +129,45 @@ class InstanceGroup:
 
     ``vocab`` lists tables in lexicographic order and columns grouped by
     table, lexicographic within (as :func:`instance_group` and
-    ``schema_vocab`` build it). Per tree: its first row and row count,
-    and the ``m_T``/``m_C`` masks of §4.2.1 (the tables and columns its
-    one-hots reference). Rows are their non-zero entries, in row order
-    and column order within a row, with each tree's first entry and
-    entry count; ``left`` and ``right`` are global child rows (−1 =
-    absent).
+    ``schema_vocab`` build it); ``trees`` holds the group's trees over
+    it, and ``t_mask``/``c_mask`` each tree's ``m_T``/``m_C`` masks of
+    §4.2.1 (the tables and columns its one-hots reference).
     """
 
     vocab: Vocab
-    starts: np.ndarray  # (n,)
-    sizes: np.ndarray  # (n,)
-    left: np.ndarray  # (N,)
-    right: np.ndarray  # (N,)
-    nz_row: np.ndarray  # (Z,)
-    nz_col: np.ndarray  # (Z,)
-    nz_val: np.ndarray  # (Z,)
-    nz_start: np.ndarray  # (n,)
-    nz_count: np.ndarray  # (n,)
+    trees: Packed
     t_mask: np.ndarray  # (n, n_t) bool
     c_mask: np.ndarray  # (n, n_c) bool
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.trees.starts)
 
 
 _TABLE = SEGMENTS.index("table")
 _IS_COLUMN = np.array([s in COLUMN_SEGMENTS for s in SEGMENTS])
 
 
-def _segments(vocab: Vocab, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each column's segment (an index into ``SEGMENTS``) and position
-    within it; an empty segment is never chosen."""
-    seg = np.searchsorted(vocab.bounds, col, side="right") - 1
-    return seg, col - vocab.bounds[seg]
+def _entries(vocab: Vocab, trees: Packed):
+    """The used slots of ``trees`` over ``vocab``: their (row, slot)
+    indices, and each one's tree, segment (an index into ``SEGMENTS``;
+    an empty segment is never chosen) and position within it."""
+    at = np.nonzero(trees.cols != SENTINEL)
+    col = trees.cols[at]
+    seg = vocab.bounds.searchsorted(col, "right") - 1
+    return at, trees.starts.searchsorted(at[0], "right") - 1, seg, col - vocab.bounds[seg]
 
 
 def pack_group(encs: list[TreeEnc], vocab: Vocab | None = None) -> InstanceGroup:
     """:class:`InstanceGroup` of instance encodings over ``vocab``, by
     default the tables and columns their entries reference."""
-    vocab, starts, row, col, val, counts, left, right = stack_encs(encs, vocab)
-    n = len(encs)
-    tree = np.repeat(np.arange(n), counts)
-    seg, pos = _segments(vocab, col)
-    t_mask = np.zeros((n, vocab.n_t), dtype=bool)
-    c_mask = np.zeros((n, vocab.n_c), dtype=bool)
+    vocab, trees = pack_encs(encs, vocab)
+    _, tree, seg, pos = _entries(vocab, trees)
     t, c = seg == _TABLE, _IS_COLUMN[seg]
+    t_mask = np.zeros((len(encs), vocab.n_t), dtype=bool)
+    c_mask = np.zeros((len(encs), vocab.n_c), dtype=bool)
     t_mask[tree[t], pos[t]] = True
     c_mask[tree[c], pos[c]] = True
-    return InstanceGroup(
-        vocab, starts, np.diff(starts, append=len(left)), left, right,
-        row, col, val, offsets(counts), counts, t_mask, c_mask,
-    )
+    return InstanceGroup(vocab, trees, t_mask, c_mask)
 
 
 def instance_group(recs: list[PlanRecord]) -> InstanceGroup:
@@ -208,35 +195,20 @@ def _slots(group: InstanceGroup, T: np.ndarray, C: np.ndarray):
     return t_slot, t_slot[:, table] * m + rank, ok
 
 
-def _ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``range(b, b + c)`` for each ``(b, c)``."""
-    return np.repeat(begin - offsets(counts), counts) + np.arange(counts.sum())
-
-
 def _convert(group: InstanceGroup, trees: np.ndarray, t_slot: np.ndarray,
              c_slot: np.ndarray) -> Packed:
     """The agnostic encodings of ``trees`` (group indices), packed in
     that order: tree ``k``'s table and column one-hots move to the slots
     ``t_slot[k]`` and ``c_slot[k]``; join op, join type, and select op ⊕
-    const ⊕ null keep their positions."""
-    sizes, nz_count = group.sizes[trees], group.nz_count[trees]
-    starts = offsets(sizes)
-    shift = starts - group.starts[trees]  # packed row − instance row, per tree
-    row_shift = np.repeat(shift, sizes)
-    rows = np.arange(len(row_shift)) - row_shift
-    left, right = group.left[rows], group.right[rows]
-    nz = _ranges(group.nz_start[trees], nz_count)
-    owner = np.repeat(np.arange(len(trees)), nz_count)
-    seg, slot = _segments(group.vocab, group.nz_col[nz])
+    const ⊕ null keep their positions. The slots rank the instance
+    columns in order, so each row keeps its column order."""
+    out = take(group.trees, trees)  # new arrays: its columns are rewritten in place
+    at, tree, seg, pos = _entries(group.vocab, out)
     t, c = seg == _TABLE, _IS_COLUMN[seg]
-    slot[t] = t_slot[owner[t], slot[t]]
-    slot[c] = c_slot[owner[c], slot[c]]
-    cols, vals = slotted(len(rows), group.nz_row[nz] + shift[owner],
-                         DEFAULT_SPACE.slots.bounds[seg] + slot, group.nz_val[nz])
-    return Packed(
-        starts, cols, vals, np.where(left >= 0, left + row_shift, -1),
-        np.where(right >= 0, right + row_shift, -1),
-    )
+    pos[t] = t_slot[tree[t], pos[t]]
+    pos[c] = c_slot[tree[c], pos[c]]
+    out.cols[at] = DEFAULT_SPACE.slots.bounds[seg] + pos
+    return out
 
 
 def group_agnostic(group: InstanceGroup) -> Packed:

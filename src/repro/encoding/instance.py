@@ -24,11 +24,14 @@ Deviations, documented per DESIGN.md:
 A node sets at most a handful of its |NV| columns, so a tree is never a
 dense matrix. :func:`encode_tree` walks a plan once, in BFS order
 (§3.2), and emits each node row's non-zero entries keyed by segment and
-base table or column (:class:`TreeEnc`); a :class:`Vocab` places the
-keys. :class:`Packed` carries trees row-wise with no padding, each row
-as a fixed number of (column, value) slots, and the EMF's first
-tree convolution reads those slots as they are. :func:`densify` builds
-the dense matrix for the flat baselines and the tests.
+base table or column (:class:`TreeEnc`); :func:`pack_encs` places the
+keys over a :class:`Vocab`. :class:`Packed` is the one layout of
+packed trees, from this encoder to the EMF's first tree convolution,
+which reads the slots as they are: trees row-wise with no padding,
+each row as a fixed number of (column, value) slots. :func:`take`
+gathers trees out of a ``Packed`` and :func:`concat` joins several.
+:func:`densify` builds the dense matrix for the flat baselines and the
+tests.
 """
 from __future__ import annotations
 
@@ -54,9 +57,9 @@ from repro.core.plan import (
 from repro.core.record import PlanRecord
 from repro.solver.linexpr import OPS, Constraint
 
-# The NV segments in vector order, each named by its Vocab offset
-# without "off_". A table or column one-hot is keyed by base table or
-# base column; any other segment by a position within it.
+# The NV segments in vector order (Vocab.bounds holds their sizes). A
+# table or column one-hot is keyed by base table or base column; any
+# other segment by a position within it.
 SEGMENTS = ("table", "join_cl", "join_op", "join_cr", "join_jt", "sel_c", "sel_op",
             "const", "null")
 COLUMN_SEGMENTS = ("join_cl", "join_cr", "sel_c")
@@ -83,50 +86,18 @@ class Vocab:
         return len(self.columns)
 
     @cached_property
-    def nv_size(self) -> int:
-        return self.n_t + 3 * self.n_c + 2 * len(OPS) + len(JOIN_TYPES) + 2
-
-    # segment offsets ------------------------------------------------
-    @cached_property
-    def off_table(self) -> int:
-        return 0
-
-    @cached_property
-    def off_join_cl(self) -> int:
-        return self.n_t
-
-    @cached_property
-    def off_join_op(self) -> int:
-        return self.off_join_cl + self.n_c
-
-    @cached_property
-    def off_join_cr(self) -> int:
-        return self.off_join_op + len(OPS)
-
-    @cached_property
-    def off_join_jt(self) -> int:
-        return self.off_join_cr + self.n_c
-
-    @cached_property
-    def off_sel_c(self) -> int:
-        return self.off_join_jt + len(JOIN_TYPES)
-
-    @cached_property
-    def off_sel_op(self) -> int:
-        return self.off_sel_c + self.n_c
-
-    @cached_property
-    def off_const(self) -> int:
-        return self.off_sel_op + len(OPS)
-
-    @cached_property
-    def off_null(self) -> int:
-        return self.off_const + 1
-
-    @cached_property
     def bounds(self) -> np.ndarray:
-        """The first column of each of :data:`SEGMENTS`."""
-        return np.array([getattr(self, "off_" + s) for s in SEGMENTS])
+        """The first column of each of :data:`SEGMENTS`, then |NV|."""
+        n_t, n_c, n_o, n_j = self.n_t, self.n_c, len(OPS), len(JOIN_TYPES)
+        return np.cumsum((0, n_t, n_c, n_o, n_c, n_j, n_c, n_o, 1, 1))  # SEGMENTS order
+
+    @cached_property
+    def nv_size(self) -> int:
+        return int(self.bounds[-1])
+
+    def off(self, segment: str) -> int:
+        """The first column of ``segment``, one of :data:`SEGMENTS`."""
+        return int(self.bounds[SEGMENTS.index(segment)])
 
     @cached_property
     def _table_pos(self) -> dict[str | None, int]:
@@ -144,7 +115,7 @@ class Vocab:
 
     def column(self, segment: str, key) -> int:
         """The vector column of a :class:`TreeEnc` entry key."""
-        off = getattr(self, "off_" + segment)
+        off = self.off(segment)
         if segment == "table":
             return off + self.table_idx(key)
         if segment in COLUMN_SEGMENTS:
@@ -182,8 +153,8 @@ class TreeEnc:
     """A plan's node entries in BFS row order, before a vocabulary places
     them: entry ``e`` is the value ``vals[e]`` at ``keys[e]`` (a
     ``(segment, key)`` of :data:`SEGMENTS`) in row ``rows[e]``, a row's
-    keys distinct; and child indices (−1 = absent). Placing the entries
-    (:func:`stack_encs`) rounds the values to float32 and drops the ones
+    keys distinct; and child indices (−1 = absent). Packing the entries
+    (:func:`pack_encs`) rounds the values to float32 and drops the ones
     that round to 0."""
 
     rows: list[int]
@@ -228,7 +199,7 @@ class Packed(NamedTuple):
     @property
     def sizes(self) -> np.ndarray:
         """(B,) row count of each tree."""
-        return np.diff(self.starts, append=len(self.cols))
+        return np.append(self.starts[1:], len(self.cols)) - self.starts
 
 
 def offsets(sizes: np.ndarray) -> np.ndarray:
@@ -238,24 +209,10 @@ def offsets(sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def slotted(n: int, row: np.ndarray, col: np.ndarray, val: np.ndarray):
-    """The (n, K) slot columns and values of ``n`` rows given their
-    entries in row order (see :class:`Packed`)."""
-    count = np.bincount(row, minlength=n)
-    slot = np.arange(len(row)) - offsets(count)[row]
-    k = int(count.max(initial=0))
-    cols = np.full((n, k), SENTINEL, dtype=np.intp)
-    vals = np.zeros((n, k))
-    cols[row, slot] = col
-    vals[row, slot] = val
-    return cols, vals
-
-
-def stack_encs(encs: Sequence[TreeEnc], vocab: Vocab | None = None):
-    """``encs`` placed one after another over ``vocab``, by default
-    :func:`entry_vocab` of their entries: the vocabulary, tree starts,
-    entry rows, columns and values (in row order, column order within a
-    row), entries per tree, and global child rows (−1 = absent).
+def pack_encs(encs: Sequence[TreeEnc], vocab: Vocab | None = None) -> tuple[Vocab, Packed]:
+    """``encs`` packed row-wise in order over ``vocab``, by default
+    :func:`entry_vocab` of their entries, with global child rows: the
+    vocabulary and the trees.
 
     Values are rounded to float32, as the node matrix always held them,
     and an entry that rounds to 0 (a constant that normalizes to 0) is
@@ -277,21 +234,52 @@ def stack_encs(encs: Sequence[TreeEnc], vocab: Vocab | None = None):
     keep = np.flatnonzero(val != 0)
     keep = keep[np.lexsort((col[keep], row[keep]))]
     row, col, val = row[keep], col[keep], val[keep]
-    counts = np.bincount(np.repeat(np.arange(len(encs)), n_entries)[keep], minlength=len(encs))
+    n = int(sizes.sum())
+    count = np.bincount(row, minlength=n)
+    slot = np.arange(len(row)) - offsets(count)[row]
+    cols = np.full((n, int(count.max(initial=0))), SENTINEL, dtype=np.intp)
+    vals = np.zeros(cols.shape)
+    cols[row, slot] = col
+    vals[row, slot] = val
 
     def rows(idx: list[np.ndarray]) -> np.ndarray:
         idx = np.concatenate(idx) if idx else np.zeros(0, dtype=np.intp)
         return np.where(idx >= 0, idx + np.repeat(starts, sizes), -1)
 
-    return (vocab, starts, row, col, val, counts,
-            rows([e.left for e in encs]), rows([e.right for e in encs]))
+    return vocab, Packed(starts, cols, vals, rows([e.left for e in encs]),
+                         rows([e.right for e in encs]))
 
 
-def pack_encs(encs: Sequence[TreeEnc], vocab: Vocab) -> Packed:
-    """Pack tree encodings over ``vocab`` row-wise in order, child
-    indices made global."""
-    _, starts, row, col, val, _, left, right = stack_encs(encs, vocab)
-    return Packed(starts, *slotted(len(left), row, col, val), left, right)
+def take(packed: Packed, trees: np.ndarray) -> Packed:
+    """The trees ``trees`` (indices) of ``packed``, packed in that order
+    into new arrays, with as many slots as their fullest row."""
+    sizes = packed.sizes[trees]
+    starts = offsets(sizes)
+    shift = np.repeat(packed.starts[trees] - starts, sizes)  # old row − new row
+    rows = np.arange(len(shift)) + shift
+    child = lambda c: np.where(c[rows] >= 0, c[rows] - shift, -1)
+    cols = packed.cols[rows]
+    k = cols.shape[1]
+    while k and (cols[:, k - 1] == SENTINEL).all():  # slots fill from the left
+        k -= 1
+    return Packed(starts, cols[:, :k], packed.vals[rows, :k],
+                  child(packed.left), child(packed.right))
+
+
+def concat(parts: list[Packed]) -> Packed:
+    """``parts`` packed one after another, child rows shifted and rows
+    widened to the most slots of a part."""
+    base = offsets(np.array([len(p.cols) for p in parts], dtype=np.intp))
+    k = max(p.cols.shape[1] for p in parts)
+    shift = lambda c, b: np.where(c >= 0, c + b, -1)
+    widen = lambda a, fill: np.pad(a, ((0, 0), (0, k - a.shape[1])), constant_values=fill)
+    return Packed(
+        np.concatenate([p.starts + b for p, b in zip(parts, base)]),
+        np.concatenate([widen(p.cols, SENTINEL) for p in parts]),
+        np.concatenate([widen(p.vals, 0.0) for p in parts]),
+        np.concatenate([shift(p.left, b) for p, b in zip(parts, base)]),
+        np.concatenate([shift(p.right, b) for p, b in zip(parts, base)]),
+    )
 
 
 def densify(trees: Packed, d: int) -> np.ndarray:

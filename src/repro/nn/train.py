@@ -1,10 +1,11 @@
-"""EMF training loop, batching, and metrics (§5, §7.1).
+"""EMF training loop and metrics (§5, §7.1).
 
 Labeled plan pairs go through the cascade's pair encoder, the §4.2.1
 converter (:func:`~repro.encoding.agnostic.plan_pair_batches`).
-Training gathers each batch's pairs out of its packed sides,
-concatenates them into one :class:`PairTensors` and draws Adam + BCE
-minibatches from it; prediction scores the batches as they come.
+Training gathers each batch's pairs out of its packed sides
+(:func:`~repro.encoding.instance.take`), concatenates them into one
+:class:`PairTensors` and draws Adam + BCE minibatches from it;
+prediction scores the batches as they come.
 Metrics are the accuracy, precision, recall, F1 and confusion counts
 of Tables 3–5.
 """
@@ -21,47 +22,12 @@ import numpy as np
 
 from repro.core.plan import Plan
 from repro.encoding.agnostic import plan_pair_batches
-from repro.encoding.instance import SENTINEL, Packed, offsets
+from repro.encoding.instance import Packed, concat, take
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.optim import Adam
 from repro.workload.labeler import LabeledPair
 
 log = logging.getLogger(__name__)
-
-
-# --------------------------------------------------------------------------
-# Batching
-# --------------------------------------------------------------------------
-
-
-def take(packed: Packed, trees: np.ndarray) -> Packed:
-    """The trees ``trees`` (indices) of ``packed``, packed in that order,
-    with as many slots as their fullest row."""
-    sizes = packed.sizes[trees]
-    starts = offsets(sizes)
-    shift = np.repeat(packed.starts[trees] - starts, sizes)  # old row − new row
-    rows = np.arange(len(shift)) + shift
-    child = lambda c: np.where(c[rows] >= 0, c[rows] - shift, -1)
-    cols = packed.cols[rows]
-    k = int((cols != SENTINEL).sum(axis=1).max(initial=0))
-    return Packed(starts, cols[:, :k], packed.vals[rows, :k],
-                  child(packed.left), child(packed.right))
-
-
-def concat(parts: list[Packed]) -> Packed:
-    """``parts`` packed one after another, child rows shifted and rows
-    widened to the most slots of a part."""
-    base = offsets(np.array([len(p.cols) for p in parts], dtype=np.intp))
-    k = max(p.cols.shape[1] for p in parts)
-    shift = lambda c, b: np.where(c >= 0, c + b, -1)
-    widen = lambda a, fill: np.pad(a, ((0, 0), (0, k - a.shape[1])), constant_values=fill)
-    return Packed(
-        np.concatenate([p.starts + b for p, b in zip(parts, base)]),
-        np.concatenate([widen(p.cols, SENTINEL) for p in parts]),
-        np.concatenate([widen(p.vals, 0.0) for p in parts]),
-        np.concatenate([shift(p.left, b) for p, b in zip(parts, base)]),
-        np.concatenate([shift(p.right, b) for p, b in zip(parts, base)]),
-    )
 
 
 @dataclass

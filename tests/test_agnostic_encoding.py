@@ -17,8 +17,7 @@ from repro.encoding.agnostic import (
     pack_group,
     pair_batches,
 )
-from repro.encoding.instance import densify, encode_tree, schema_vocab
-from repro.nn.train import concat, take
+from repro.encoding.instance import concat, densify, encode_tree, schema_vocab, take
 from repro.workload.generator import random_plans
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE, Schema, Table
 from tests.test_plan import fig1_q1, fig1_q2
@@ -37,7 +36,7 @@ def test_group_vocab_table2_example():
     # the Figure 1 pair references exactly these columns
     X = densify(encode_pair_agnostic(fig1_q1(), fig1_q2()), vocab.nv_size)
     used = set()
-    for off in (vocab.off_join_cl, vocab.off_join_cr, vocab.off_sel_c):
+    for off in (vocab.off("join_cl"), vocab.off("join_cr"), vocab.off("sel_c")):
         used |= set(np.nonzero(X[:, off : off + vocab.n_c].any(axis=0))[0].tolist())
     assert used == set(slots.values())
 

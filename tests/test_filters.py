@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.plan import Col, Comparison, Const, Filter, Project, Scan
 from repro.core.record import PlanRecord, records
-from repro.encoding.agnostic import PAIR_BATCH, encode_pair_agnostic, instance_group
+from repro.encoding.agnostic import (
+    PAIR_BATCH,
+    encode_pair_agnostic,
+    instance_group,
+    pair_batches,
+)
+from repro.encoding.instance import concat, take
 from repro.filters import vmf as vmf_module
 from repro.filters.emf_filter import emf_scores
 from repro.filters.schema_filter import sf_groups, sf_key, sf_pairs
@@ -17,9 +23,9 @@ from repro.filters.vmf import (
     pair_distances,
     radius_join,
 )
-from repro.nn.train import concat
 from repro.workload.labeler import make_planted_workload, make_positive_pairs
 from repro.workload.schema import TPCH_LITE
+from tests.test_agnostic_encoding import assert_packed_equal
 from tests.test_plan import fig1_q1, fig1_q2
 
 
@@ -179,24 +185,34 @@ def test_emf_scores_separate_planted_from_random(emf_model, workload):
     assert sp.mean() > sr.mean() + 0.2
 
 
-def scratch_scores(model, plan_pairs) -> tuple[np.ndarray, int]:
-    """From-scratch reference for :func:`emf_scores`: each pair encoded
-    by ``encode_pair_agnostic`` on its canonical plans, packed and
-    predicted in the same batches, with no side shared between pairs;
-    an out-of-space pair scores 1.0 and is counted."""
-    out = np.ones(len(plan_pairs))
-    ks, encs = [], []
-    for k, (a, b) in enumerate(plan_pairs):
+def scratch_scores(model, plans, pairs, group) -> tuple[np.ndarray, int]:
+    """From-scratch reference for :func:`emf_scores` on index ``pairs``
+    into ``plans`` (prepared as ``group``), in the converter's side
+    layout: each distinct side of a :func:`pair_batches` batch is the
+    ``encode_pair_agnostic`` tree, on canonical plans, of the first pair
+    that holds it. The sides must equal the converter's bit for bit, and
+    they are scored in the same batches and shapes, so the scores may
+    differ only if the converter's sides do. An out-of-space pair scores
+    1.0 and is counted."""
+    canonical = [PlanRecord(p).canonical for p in plans]
+    direct = {}
+    for k, (i, j) in enumerate(pairs):
         try:
-            encs.append(encode_pair_agnostic(PlanRecord(a).canonical, PlanRecord(b).canonical))
+            direct[k] = encode_pair_agnostic(canonical[i], canonical[j])
         except ValueError:
-            continue
-        ks.append(k)
-    for s in range(0, len(ks), PAIR_BATCH):
-        batch = encs[s : s + PAIR_BATCH]
-        first = 2 * np.arange(len(batch))  # pair k is trees 2k and 2k + 1
-        out[ks[s : s + PAIR_BATCH]] = model.predict_proba(concat(batch), first, first + 1)
-    return out, len(plan_pairs) - len(ks)
+            pass
+    out, seen = np.ones(len(pairs)), []
+    for ks, sides, first, second in pair_batches(group, pairs):
+        trees = {}
+        for k, a, b in zip(ks.tolist(), first.tolist(), second.tolist()):
+            trees.setdefault(a, take(direct[k], [0]))
+            trees.setdefault(b, take(direct[k], [1]))
+        reference = concat([trees[s] for s in range(len(trees))])
+        assert_packed_equal(reference, sides)
+        out[ks] = model.predict_proba(reference, first, second)
+        seen += ks.tolist()
+    assert seen == sorted(direct)
+    return out, len(pairs) - len(direct)
 
 
 def test_emf_scorers_agree(emf_model, workload):
@@ -207,8 +223,9 @@ def test_emf_scorers_agree(emf_model, workload):
     n = len(workload.plans)
     pairs = list(itertools.combinations(range(n), 2))[:300]
     pairs += [(n, n + 1), (n + 2, n + 3)]  # out of space, then in space
-    by_converter, passed = emf_scores(emf_model, pairs, instance_group(records(plans)))
-    reference, out = scratch_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
+    group = instance_group(records(plans))
+    by_converter, passed = emf_scores(emf_model, pairs, group)
+    reference, out = scratch_scores(emf_model, plans, pairs, group)
     assert len(pairs) > PAIR_BATCH  # more than one batch
     np.testing.assert_array_equal(by_converter, reference)
     assert by_converter[-2] == 1.0 and by_converter[-1] < 1.0

@@ -9,8 +9,10 @@ exempt.
 The layers below the workload generator never import it, the NN
 stack takes plan tensors only from the encoders' pair batches and takes
 no node mask, node rows travel as slots and never as a dense node
-matrix, only the AV turns a ``RuntimeError`` into a verdict, and the
-cascade's stages take plans apart only through their plan records."""
+matrix, one layout carries packed trees and only ``pack_encs`` lays
+rows out into slots, only the AV turns a ``RuntimeError`` into a
+verdict, and the cascade's stages take plans apart only through their
+plan records."""
 import ast
 from pathlib import Path
 
@@ -196,6 +198,29 @@ def test_no_array_is_sized_by_nv_size():
                 or isinstance(n, ast.Name) and n.id == "nv_size" for n in ast.walk(call))
     ]
     assert not bad, "arrays sized by nv_size:\n" + "\n".join(bad)
+
+
+# One packed-tree layout from the encoder to the model: an instance
+# group is its trees as one Packed plus the masks, and only pack_encs
+# lays rows out into slots (every other function gathers Packed rows).
+SLOT_MAKERS = ("pack_encs",)
+
+
+def test_one_packed_tree_layout():
+    from dataclasses import fields
+
+    from repro.encoding.agnostic import InstanceGroup
+
+    assert tuple(f.name for f in fields(InstanceGroup)) == ("vocab", "trees", "t_mask", "c_mask")
+    bad = [
+        f"{path.relative_to(ROOT)}:{call.lineno}: {fn or '<module>'}"
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for call, fn in _array_calls(ast.parse(path.read_text()))
+        if call.func.attr == "full" and fn not in SLOT_MAKERS
+        and any(isinstance(n, ast.Name) and n.id == "SENTINEL"
+                or isinstance(n, ast.Attribute) and n.attr == "SENTINEL" for n in ast.walk(call))
+    ]
+    assert not bad, "slot arrays made outside pack_encs:\n" + "\n".join(bad)
 
 
 # The cascade's stages read each plan's record (repro.core.record): none

@@ -5,13 +5,13 @@ import pytest
 from repro.core.plan import JOIN_TYPES, Join, bfs
 from repro.core.record import PlanRecord
 from repro.encoding.instance import (
+    SENTINEL,
     Vocab,
     densify,
     encode_tree,
     norm_const,
     pack_encs,
     schema_vocab,
-    stack_encs,
 )
 from repro.solver.linexpr import OPS
 from repro.workload.generator import random_plans
@@ -21,7 +21,7 @@ from tests.test_plan import fig1_q1
 
 def _dense(plan, v: Vocab) -> np.ndarray:
     """The dense node matrix of ``plan`` over ``v``."""
-    return densify(pack_encs([encode_tree(plan)], v), v.nv_size)
+    return densify(pack_encs([encode_tree(plan)], v)[1], v.nv_size)
 
 
 def _ab_vocab() -> Vocab:
@@ -40,9 +40,9 @@ def test_nv_size_formula():
 
 def test_segments_partition_vector():
     v = _ab_vocab()
-    assert v.off_join_cl == v.n_t
-    assert v.off_sel_c == v.n_t + 2 * v.n_c + len(OPS) + len(JOIN_TYPES)
-    assert v.off_null == v.nv_size - 1
+    assert v.off("join_cl") == v.n_t
+    assert v.off("sel_c") == v.n_t + 2 * v.n_c + len(OPS) + len(JOIN_TYPES)
+    assert v.off("null") == v.nv_size - 1
 
 
 def test_encode_shapes_and_children():
@@ -67,12 +67,12 @@ def test_scan_nodes_one_hot_table_only():
 def test_join_node_segments():
     v = _ab_vocab()
     row = _dense(fig1_q1(), v)[3]  # the Join node
-    cl = row[v.off_join_cl : v.off_join_cl + v.n_c]
-    cr = row[v.off_join_cr : v.off_join_cr + v.n_c]
+    cl = row[v.off("join_cl") : v.off("join_cl") + v.n_c]
+    cr = row[v.off("join_cr") : v.off("join_cr") + v.n_c]
     assert cl.sum() == 1.0 and cr.sum() == 1.0
     assert cl[v.col_idx("A.joinKey")] == 1.0
     assert cr[v.col_idx("B.joinKey")] == 1.0
-    assert row[v.off_join_op + OPS.index("=")] == 1.0
+    assert row[v.off("join_op") + OPS.index("=")] == 1.0
 
 
 @pytest.mark.parametrize("jointype", JOIN_TYPES)
@@ -83,32 +83,32 @@ def test_canonical_encoding_keeps_the_join_type(jointype):
     plan = PlanRecord(fig1_q1(jointype)).canonical
     X = _dense(plan, v)
     (i,) = [i for i, n in enumerate(bfs(plan)) if isinstance(n, Join)]
-    slots = X[i, v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)]
+    slots = X[i, v.off("join_jt") : v.off("join_jt") + len(JOIN_TYPES)]
     assert slots.tolist() == [float(t == jointype) for t in JOIN_TYPES]
 
 
 def test_single_column_filter_in_select_segment():
     v = _ab_vocab()
     row = _dense(fig1_q1(), v)[1]  # Filter B.val > 10
-    assert row[v.off_sel_c + v.col_idx("B.val")] == 1.0
-    assert row[v.off_sel_op + OPS.index(">")] == 1.0
-    assert abs(row[v.off_const] - norm_const(10.0)) < 1e-6
+    assert row[v.off("sel_c") + v.col_idx("B.val")] == 1.0
+    assert row[v.off("sel_op") + OPS.index(">")] == 1.0
+    assert abs(row[v.off("const")] - norm_const(10.0)) < 1e-6
 
 
 def test_two_column_filter_uses_join_segment_with_const():
     v = _ab_vocab()
     row = _dense(fig1_q1(), v)[2]  # Filter A.val > B.val + 10
-    assert row[v.off_join_cl + v.col_idx("A.val")] == 1.0
-    assert row[v.off_join_cr + v.col_idx("B.val")] == 1.0
-    assert abs(row[v.off_const] - norm_const(10.0)) < 1e-6
+    assert row[v.off("join_cl") + v.col_idx("A.val")] == 1.0
+    assert row[v.off("join_cr") + v.col_idx("B.val")] == 1.0
+    assert abs(row[v.off("const")] - norm_const(10.0)) < 1e-6
     # but it is not a join: join-type segment zero
-    assert row[v.off_join_jt : v.off_join_jt + len(JOIN_TYPES)].sum() == 0.0
+    assert row[v.off("join_jt") : v.off("join_jt") + len(JOIN_TYPES)].sum() == 0.0
 
 
 def test_project_multi_hot():
     v = _ab_vocab()
     row = _dense(fig1_q1(), v)[0]
-    sel = row[v.off_sel_c : v.off_sel_c + v.n_c]
+    sel = row[v.off("sel_c") : v.off("sel_c") + v.n_c]
     assert abs(sel.sum() - 2.25) < 1e-6  # 1.0 + (1 + 0.25): position-weighted
     assert sel[v.col_idx("A.x")] == 1.0  # position 0
     assert sel[v.col_idx("B.y")] == 1.25  # position 1
@@ -144,8 +144,9 @@ def test_encoding_deterministic_across_random_plans():
 
 def _entries(plan, v: Vocab, row: int) -> dict[int, float]:
     """Node ``row``'s placed entries over ``v``: column → value."""
-    _, _, rows, cols, vals, *_ = stack_encs([encode_tree(plan)], v)
-    return dict(zip(cols[rows == row].tolist(), vals[rows == row].tolist()))
+    _, trees = pack_encs([encode_tree(plan)], v)
+    used = trees.cols[row] != SENTINEL
+    return dict(zip(trees.cols[row, used].tolist(), trees.vals[row, used].tolist()))
 
 
 def test_project_duplicate_column_sums_into_one_entry():
@@ -156,8 +157,8 @@ def test_project_duplicate_column_sums_into_one_entry():
     v = _ab_vocab()
     plan = Project((Col("A", "x"), Col("B", "y"), Col("A", "x")), fig1_q1().child)
     assert _entries(plan, v, 0) == {
-        v.off_sel_c + v.col_idx("A.x"): 1.0 + 1.5,
-        v.off_sel_c + v.col_idx("B.y"): 1.25,
+        v.off("sel_c") + v.col_idx("A.x"): 1.0 + 1.5,
+        v.off("sel_c") + v.col_idx("B.y"): 1.25,
     }
 
 
@@ -170,8 +171,8 @@ def test_zero_values_are_not_entries():
     plan = Project((Col("A", "x"),), Filter(
         Comparison(Col("A", "val"), ">", Const(0.0)), Scan("A", "A")))
     assert _entries(plan, v, 1) == {
-        v.off_sel_c + v.col_idx("A.val"): 1.0,
-        v.off_sel_op + OPS.index(">"): 1.0,
+        v.off("sel_c") + v.col_idx("A.val"): 1.0,
+        v.off("sel_op") + OPS.index(">"): 1.0,
     }
 
 
@@ -184,5 +185,5 @@ def test_values_keep_float32_rounding():
     pred = Comparison(Col("A", "val"), ">", Const(1.1))
     plan = Project((Col("A", "x"),), Filter(pred, Scan("A", "A")))
     want = norm_const(-float(PlanRecord(plan).constraint(pred).expr.const))
-    got = _entries(plan, v, 1)[v.off_const]
+    got = _entries(plan, v, 1)[v.off("const")]
     assert got == float(np.float32(want)) and got != want

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.encoding.agnostic import DEFAULT_SPACE
-from repro.encoding.instance import SENTINEL, Packed, offsets
+from repro.encoding.instance import SENTINEL, Packed, concat, offsets, take
 from repro.nn.model import EMF, EMFConfig
 from repro.nn.train import (
     PairTensors,
     bce_with_logits,
     cache_key,
     cached_model,
-    concat,
     confusion,
     encode_pairs,
     evaluate,
     metrics,
-    take,
     train_emf,
 )
 from repro.workload.labeler import make_dataset

@@ -25,7 +25,7 @@ from repro.encoding.agnostic import (
 from repro.experiments.table1 import planted_pool
 from repro.filters.emf_filter import EMF_THRESHOLD, emf_scores
 from repro.filters.schema_filter import sf_groups
-from repro.encoding.instance import Packed, densify
+from repro.encoding.instance import Packed, concat, densify, take
 from repro.filters.vmf import (
     TARGET_RECALL,
     calibrate_tau,
@@ -35,7 +35,7 @@ from repro.filters.vmf import (
     radius_join,
 )
 from repro.nn.model import EMF, EMFConfig
-from repro.nn.train import concat, encode_pairs, predict, take, train_emf
+from repro.nn.train import encode_pairs, predict, train_emf
 from repro.workload.labeler import LabeledPair, make_dataset, make_positive_pairs
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from tests.test_filters import _wide_plan

@@ -135,7 +135,7 @@ def test_cascade_emf_scores_match_from_scratch(emf_model, tau, workload, wide_pl
 
     def recording(model, pairs, group):
         proba, passed = real(model, pairs, group)
-        scored.append((pairs, proba, passed))
+        scored.append((pairs, group, proba, passed))
         return proba, passed
 
     monkeypatch.setattr(pipeline, "emf_scores", recording)
@@ -144,8 +144,8 @@ def test_cascade_emf_scores_match_from_scratch(emf_model, tau, workload, wide_pl
     mixed = 0
     for plans in groups:
         res = cascade_group(plans, emf_model, tau=tau, verifier=Verifier())
-        pairs, proba, passed = scored.pop()
-        reference, out = scratch_scores(emf_model, [(plans[i], plans[j]) for i, j in pairs])
+        pairs, group, proba, passed = scored.pop()
+        reference, out = scratch_scores(emf_model, plans, pairs, group)
         np.testing.assert_array_equal(proba, reference)  # out-of-space pairs: 1.0
         assert res.passthrough["EMF"] == passed == out
         if res.passthrough["VMF"]:
@@ -222,8 +222,8 @@ def test_record_fallbacks_encode_as_written():
     assert all(r.canonical is p for r, p in zip(recs, plans))
     group = instance_group(recs)
     direct = pack_group([encode_tree(p) for p in plans], group.vocab)
-    for field in ("starts", "left", "right", "nz_row", "nz_col", "nz_val"):
-        np.testing.assert_array_equal(getattr(group, field), getattr(direct, field))
+    for field, got, want in zip(direct.trees._fields, group.trees, direct.trees):
+        np.testing.assert_array_equal(got, want, err_msg=field)
 
 
 class _RecordingVerifier(Verifier):
