@@ -4,13 +4,13 @@ The SF keys every subexpression on the driver, and every later stage
 works inside one SF-group: :func:`cascade_group`. It makes one record
 per plan (:mod:`repro.core.record`) that every stage reads, so a plan
 is decomposed, its predicates lowered, and it is canonicalized and
-encoded once for both the VMF and the EMF; the AV flattens it and
-decides its satisfiability at most once. Per pair come the radius
-join, the EMF's slot map and head, and the AV's bijection search and
-FM checks. A record's parts are computed on first use: the encoding is
-timed with the first model filter (with the AV when there is none),
-flattening and satisfiability with the AV. Nothing prepared outlives
-the call. The two implementations of ``GEqO_SET`` (Equation 1) take
+encoded once for both the VMF and the EMF; the AV checks pairs of the
+same records, so it flattens a plan and decides its satisfiability at
+most once. Per pair come the radius join, the EMF's slot map and head,
+and the AV's bijection search and FM checks. A record's parts are
+computed on first use: the encoding is timed with the first model
+filter (with the AV when there is none), flattening and satisfiability
+with the AV. Nothing prepared outlives the call. The two implementations of ``GEqO_SET`` (Equation 1) take
 the same SF-groups and differ only in how they map it:
 
 - :func:`geqo_set_spark` — one Spark stage without a shuffle: an RDD of
@@ -127,13 +127,12 @@ def cascade_group(
         res.survivors["EMF"] = len(pairs)
 
     t0 = time.perf_counter()
-    with verifier.prepared(recs):
-        for i, j in pairs:
-            verdict = verifier.equivalent(plans[i], plans[j])
-            if verdict:
-                res.pairs.add((i, j))
-            elif verdict is None:
-                res.av_unknown += 1
+    for i, j in pairs:
+        verdict = verifier.equivalent(recs[i], recs[j])
+        if verdict:
+            res.pairs.add((i, j))
+        elif verdict is None:
+            res.av_unknown += 1
     res.times["AV"] = time.perf_counter() - t0
     res.av_pairs_checked = len(pairs)
     res.survivors["AV"] = len(res.pairs)

@@ -332,36 +332,42 @@ def compose(
     *,
     order: list[str] | None = None,
 ) -> Plan:
-    """Build a left-deep SPJ plan; ``order`` is the preferred join
-    order. Filters stack in list order over any join predicates left
-    over; ``ValueError`` if the join graph is disconnected."""
+    """Build a left-deep SPJ plan; ``order`` is the preferred join order.
+    An alias joins through a join predicate, or else through the first
+    filter linking it to the joined aliases; filters stack in list order
+    over any join predicates left over. ``ValueError`` on a cross product."""
     order = order or list(aliases)
     remaining = list(order)
     first = remaining.pop(0)
     plan: Plan = Scan(aliases[first], first)
     joined = {first}
-    pending = list(join_preds)
+    pending, filters = list(join_preds), list(filter_preds)
     while remaining:
-        attached = False
-        for cand in list(remaining):
-            for i, jp in enumerate(pending):
-                refs = {c.alias for c in jp.columns}
-                if cand in refs and refs - {cand} <= joined:
-                    plan = Join(plan, Scan(aliases[cand], cand), jp)
-                    joined.add(cand)
-                    remaining.remove(cand)
-                    pending.pop(i)
-                    attached = True
-                    break
-            if attached:
+        for preds in (pending, filters):
+            hit = _attachment(remaining, joined, preds, linking=preds is filters)
+            if hit is not None:
                 break
-        if not attached:
+        else:
             raise ValueError("join graph disconnected under this order")
-    for fp in pending:  # join preds that became redundant orderings
-        plan = Filter(fp, plan)
-    for fp in filter_preds:
+        cand, i = hit
+        plan = Join(plan, Scan(aliases[cand], cand), preds.pop(i))
+        joined.add(cand)
+        remaining.remove(cand)
+    for fp in pending + filters:  # pending: join preds that became redundant orderings
         plan = Filter(fp, plan)
     return Project(proj, plan)
+
+
+def _attachment(remaining: list[str], joined: set[str], preds: list[Comparison],
+                *, linking: bool) -> tuple[str, int] | None:
+    """``(alias, index)`` of the first remaining alias and predicate that references
+    it and otherwise joined aliases only (one at least if ``linking``), or None."""
+    for cand in remaining:
+        for i, p in enumerate(preds):
+            refs = {c.alias for c in p.columns}
+            if cand in refs and refs - {cand} <= joined and (len(refs) > 1 or not linking):
+                return cand, i
+    return None
 
 
 def map_nodes(plan: Plan, fn: Callable[[Plan], Plan]) -> Plan:

@@ -3,10 +3,11 @@
 GEqO's cascade (§2.2) pays off only if per-plan work is paid once. A
 :class:`PlanRecord` computes each part on first use, so a stage's time
 holds the preparation it triggers. The AV (:mod:`repro.verifier.av`)
-sets the flat form (:func:`flatten`) and satisfiability through its own
-names, so its time and solver count hold them. Nothing outlives a
-call's :func:`records`: plans are reused between calls, and a
-longer-lived memo would hide their preparation cost.
+checks pairs of the records its caller holds, and sets the flat form
+(:func:`flatten`) and satisfiability through its own names, so its time
+and solver count hold them. Nothing outlives a call's :func:`records`:
+plans are reused between calls, and a longer-lived memo would hide
+their preparation cost.
 """
 from __future__ import annotations
 

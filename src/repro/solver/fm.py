@@ -7,11 +7,13 @@ synthetic columns are real-valued; see DESIGN.md "Substitutions").
 
 Pipeline per :func:`satisfiable` call:
 
-1. Case-split every ``!=`` into ``<`` / ``>`` branches (bounded count).
-2. Gaussian-eliminate equalities by substitution.
-3. Fourier–Motzkin eliminate remaining variables one at a time,
-   combining each (lower, upper) bound pair; strictness propagates.
-4. A constant contradiction anywhere ⇒ unsat for that branch.
+1. Gaussian-eliminate equalities by substitution.
+2. Fourier–Motzkin eliminate the remaining inequalities' variables one
+   at a time, combining each (lower, upper) bound pair; strictness
+   propagates. A constant contradiction anywhere ⇒ unsat.
+3. Check each ``!=`` on its own against those inequalities, with two FM
+   runs (as ``>`` and as ``<``; convexity makes this sound). More than
+   ``_MAX_DISEQ_SPLITS`` (12) of them raise :class:`SolverError`.
 
 Complexity is exponential (as the paper expects of its verifier:
 ``O(2^Ω(γ))``), but inputs here have ≲ a dozen variables/constraints.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.plan import Plan
+from repro.core.record import PlanRecord, records
 from repro.filters.schema_filter import sf_groups
 from repro.filters.vmf import candidate_pairs
 from repro.nn.model import EMF
@@ -44,12 +45,12 @@ def _workload_pairs(plans: list[Plan]) -> list[tuple[int, int]]:
 
 
 def _labelled(
-    plans: list[Plan], i: int, j: int, verifier: Verifier, source: str
+    recs: list[PlanRecord], i: int, j: int, verifier: Verifier, source: str
 ) -> LabeledPair | None:
     """The pair labelled by the AV; None when its verdict is unknown
     (an unknown is no label, not a negative)."""
-    label = verifier.equivalent(plans[i], plans[j])
-    return None if label is None else LabeledPair(plans[i], plans[j], label, source)
+    label = verifier.equivalent(recs[i], recs[j])
+    return None if label is None else LabeledPair(recs[i].plan, recs[j].plan, label, source)
 
 
 def sample_filter_balanced(
@@ -64,10 +65,11 @@ def sample_filter_balanced(
     """S₊ ← AV(VMF(SF(W×W))); balance with hard + random negatives."""
     candidates = sorted(candidate_pairs(model, plans, tau=tau))
     rng.shuffle(candidates)
+    recs = records(plans)
     pos: list[LabeledPair] = []
     neg: list[LabeledPair] = []
     for i, j in candidates[:batch]:
-        if (lp := _labelled(plans, i, j, verifier, "ssfl-filter")) is not None:
+        if (lp := _labelled(recs, i, j, verifier, "ssfl-filter")) is not None:
             (pos if lp.label else neg).append(lp)
     # balance: top up negatives with random same-SF-group pairs. The
     # attempt budget matters: with a permissive τ the VMF candidate set
@@ -84,7 +86,7 @@ def sample_filter_balanced(
         if (i, j) in cand_set or (i, j) in seen_neg:
             continue
         seen_neg.add((i, j))
-        if (lp := _labelled(plans, i, j, verifier, "ssfl-random-neg")) is not None:
+        if (lp := _labelled(recs, i, j, verifier, "ssfl-random-neg")) is not None:
             neg.append(lp)
     sample = pos + neg
     rng.shuffle(sample)
@@ -101,7 +103,8 @@ def sample_random(
     """Uniform pair sampling + AV labeling (Figure 9's weak baseline)."""
     pairs = _workload_pairs(plans)
     idx = rng.choice(len(pairs), size=min(batch, len(pairs)), replace=False)
-    labelled = (_labelled(plans, *pairs[k], verifier, "ssfl-rand") for k in idx)
+    recs = records(plans)
+    labelled = (_labelled(recs, *pairs[k], verifier, "ssfl-rand") for k in idx)
     return [lp for lp in labelled if lp is not None]
 
 

@@ -21,21 +21,21 @@ outside the SPJ fragment, the bijection budget, FM's ``SolverError``)
 answers unknown, ``None``, rather than raising.
 
 Cost: exponential in alias-group sizes and in FM variable count —
-mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. A plan's
-record (:mod:`repro.core.record`: the call's inside
-:meth:`Verifier.prepared`, a fresh one otherwise) is flattened and its
-satisfiability decided at most once, however many pairs it is in. Per
-pair are the table and arity checks, the bijection search and the
-implication checks; one whose conclusion is among its premises costs no
-FM run (:func:`repro.solver.fm.implies`). ``Verifier`` counts solver
+mirroring the paper's ``O(2^Ω(γ))`` verifier complexity. The AV reads
+the plan records its caller holds (:mod:`repro.core.record`, one per
+plan per call), so a plan is flattened and its satisfiability decided
+at most once, however many pairs it is in; :func:`verify` makes a
+fresh record of each of its two plans. Per pair are the table and
+arity checks, the bijection search and the implication checks; one
+whose conclusion is among its premises costs no FM run
+(:func:`repro.solver.fm.implies`). ``Verifier`` counts solver
 invocations, those included, so experiments can report work done.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.plan import Plan
 from repro.core.record import FlatSPJ, PlanRecord, flatten
@@ -47,16 +47,13 @@ _MAX_BIJECTIONS = 20_000
 
 @dataclass
 class Verifier:
-    """Stateful AV with invocation counters (for cost accounting)."""
+    """The AV, counting its solver invocations (for cost accounting)."""
 
     solver_calls: int = 0
-    # inside ``prepared``: plan id → the call's record of that plan
-    _records: dict = field(default_factory=dict, init=False, repr=False)
 
-    def equivalent(self, p1: Plan, p2: Plan) -> bool | None:
+    def equivalent(self, r1: PlanRecord, r2: PlanRecord) -> bool | None:
         """Proved (True), refuted (False) or unknown (None)."""
-        r1, r2 = recs = [self._records.get(id(p)) or PlanRecord(p) for p in (p1, p2)]
-        for r in recs:
+        for r in (r1, r2):
             if "flat" not in vars(r):  # None outside the verifier's fragment
                 r.flat = flatten(r)
         if r1.flat is None or r2.flat is None:
@@ -65,16 +62,6 @@ class Verifier:
             return self._equivalent(r1, r2)
         except RuntimeError:  # the bijection budget, or FM's SolverError
             return None
-
-    @contextlib.contextmanager
-    def prepared(self, recs: list[PlanRecord]):
-        """Within the block, check the plans of ``recs`` through their
-        records; the verifier lets go of them on exit."""
-        self._records = {id(r.plan): r for r in recs}
-        try:
-            yield
-        finally:
-            self._records = {}
 
     # -- internals ----------------------------------------------------
     def _sat(self, rec: PlanRecord) -> bool:
@@ -158,5 +145,5 @@ def _rename_key(key: str, mapping: dict[str, str]) -> str:
 
 
 def verify(p1: Plan, p2: Plan) -> bool | None:
-    """One-shot convenience wrapper: :meth:`Verifier.equivalent`."""
-    return Verifier().equivalent(p1, p2)
+    """One-shot check: :meth:`Verifier.equivalent` on fresh records."""
+    return Verifier().equivalent(PlanRecord(p1), PlanRecord(p2))

@@ -142,30 +142,30 @@ def make_negative_pairs(
     accidentally be equivalent (e.g. bumping the constant of a redundant
     filter), so screening is not optional paranoia. A screened candidate
     is kept only when the AV refutes it; an unknown is no negative.
+    Each drawn plan has one record, so the AV flattens it at most once.
     """
     from repro.verifier.av import Verifier
 
     g = np.random.default_rng(seed)
     av = Verifier()
     out: list[LabeledPair] = []
-    pool: dict[tuple, list[Plan]] = {}
+    pool: dict[tuple, list[PlanRecord]] = {}
 
-    def ok(a: Plan, b: Plan) -> bool:
-        return to_json(a) != to_json(b) and (not screen or av.equivalent(a, b) is False)
+    def ok(a: PlanRecord, b: PlanRecord) -> bool:
+        return to_json(a.plan) != to_json(b.plan) and (not screen or av.equivalent(a, b) is False)
 
     while len(out) < n:
-        p = random_base_plan(schema, g)
+        p = PlanRecord(random_base_plan(schema, g))
         if g.random() < 0.5:
-            q = perturb(p, g)
+            q = PlanRecord(perturb(p.plan, g))
             if ok(p, q):
-                out.append(LabeledPair(p, q, False, "neg-nearmiss"))
+                out.append(LabeledPair(p.plan, q.plan, False, "neg-nearmiss"))
             continue
-        key = sf_key(p)
-        bucket = pool.setdefault(key, [])
+        bucket = pool.setdefault(sf_key(p.plan), [])
         if bucket:
             other = bucket[int(g.integers(0, len(bucket)))]
             if ok(p, other):
-                out.append(LabeledPair(p, other, False, "neg-random"))
+                out.append(LabeledPair(p.plan, other.plan, False, "neg-random"))
         bucket.append(p)
     return out
 

@@ -79,10 +79,10 @@ TPCDS_LITE = Schema(
 )
 
 
-def random_schema(seed: int, *, n_tables: int | None = None) -> Schema:
+def random_schema(seed: int) -> Schema:
     """A connected random star/chain schema (Table 4 transfer targets)."""
     g = np.random.default_rng(seed)
-    n = int(n_tables or g.integers(3, 6))
+    n = int(g.integers(3, 6))
     tables = []
     for i in range(n):
         n_cols = int(g.integers(3, 7))

@@ -10,9 +10,14 @@ import os
 import pytest
 
 from repro.experiments import ablation, table1, table3, table4, table5, write_result
+from repro.filters.schema_filter import sf_pairs
 from repro.nn.pretrained import EPOCHS, TRAIN_PAIRS
 from repro.verifier.av import Verifier
+from repro.workload.labeler import make_planted_workload
+from repro.workload.schema import TPCDS_LITE
+from tests.test_labeler import FreshVerifier, av_flattened, flattened_once_each
 from tests.test_plan import fig1_q1, fig1_q2
+from tests.test_verifier import _disequalities
 
 PAPER_TABLES = {"table1", "table3", "table4", "table5", "ablation", "caching"}
 
@@ -58,7 +63,7 @@ def test_table1_markdown_renders(t1):
 
 def test_oracle_row_counts_a_raising_check_as_unknown():
     class Unknown:
-        def equivalent(self, p1, p2):
+        def equivalent(self, r1, r2):
             return None
 
     plans = [fig1_q1(), fig1_q2()]
@@ -68,6 +73,21 @@ def test_oracle_row_counts_a_raising_check_as_unknown():
     assert table1.oracle_row(plans, {(0, 1)}, Verifier()).extra == (
         "1 verifications, 0 unknown"
     )
+
+
+def test_oracle_row_flattens_each_plan_once(monkeypatch):
+    """The Oracle row checks one record per plan: over every SF pair of
+    a pool (two plans FM gives up on among them), each plan is
+    flattened at most once, and the row equals a fresh check per
+    pair."""
+    w = make_planted_workload(TPCDS_LITE, n_subexpr=40, n_equiv=6, seed=50)
+    plans = w.plans + [_disequalities(), _disequalities()]
+    truth = sf_pairs(plans)
+    flattened = av_flattened(monkeypatch)
+    row = table1.oracle_row(plans, truth, Verifier())
+    assert flattened_once_each(flattened)
+    assert row.extra == table1.oracle_row(plans, truth, FreshVerifier()).extra
+    assert row.extra.endswith(" 1 unknown")
 
 
 def test_table3_mlp_wins(emf_model):

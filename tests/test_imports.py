@@ -246,3 +246,15 @@ def test_only_the_record_decomposes_and_lowers():
         if name in ("decompose", "to_constraint")
     ]
     assert not bad, "decomposed or lowered outside the record:\n" + "\n".join(bad)
+
+
+# The AV keeps no state but its solver count: it reads the plan records
+# its caller holds, so no record map or context manager installs them.
+def test_verifier_keeps_only_its_solver_count():
+    from dataclasses import fields
+
+    from repro.verifier.av import Verifier
+
+    assert tuple(f.name for f in fields(Verifier)) == ("solver_calls",)
+    av = ast.parse((ROOT / "src" / "repro" / "verifier" / "av.py").read_text())
+    assert "contextlib" not in {name.split(".")[0] for name, _ in _imported_names(av)}

@@ -1,10 +1,12 @@
 """Dataset builder tests: labels must actually be (non)equivalences."""
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core.plan import Col, Comparison, Join, Project, Scan, to_json
+from repro.core.record import PlanRecord, records
 from repro.filters.schema_filter import sf_key
 from repro.solver.fm import SolverError
 from repro.verifier import av
@@ -54,13 +56,13 @@ def test_positive_pairs_are_av_equivalent():
     v = Verifier()
     for pair in make_positive_pairs(TPCH_LITE, 12, seed=3):
         assert pair.label
-        assert v.equivalent(pair.p1, pair.p2), pair.families
+        assert v.equivalent(PlanRecord(pair.p1), PlanRecord(pair.p2)), pair.families
 
 
 def test_negative_pairs_are_av_nonequivalent():
     v = Verifier()
     pairs = make_negative_pairs(TPCH_LITE, 30, seed=4)
-    assert all(v.equivalent(p.p1, p.p2) is False for p in pairs)
+    assert all(v.equivalent(PlanRecord(p.p1), PlanRecord(p.p2)) is False for p in pairs)
 
 
 class FlakyVerifier(Verifier):
@@ -72,12 +74,48 @@ class FlakyVerifier(Verifier):
         super().__init__()
         self.unknown: set[tuple[str, str]] = set()
 
-    def equivalent(self, p1, p2):
-        key = (to_json(p1), to_json(p2))
+    def equivalent(self, r1, r2):
+        key = (to_json(r1.plan), to_json(r2.plan))
         if hashlib.sha256("\n".join(key).encode()).digest()[0] % 2:
             self.unknown.add(key)
             return None
-        return super().equivalent(p1, p2)
+        return super().equivalent(r1, r2)
+
+
+class FreshVerifier(Verifier):
+    """Checks each pair on fresh records of its plans, as one-shot
+    ``verify`` does: the reference for callers that share records."""
+
+    def equivalent(self, r1, r2):
+        return super().equivalent(PlanRecord(r1.plan), PlanRecord(r2.plan))
+
+
+def av_flattened(monkeypatch) -> list:
+    """The plans the AV flattens, one entry per flattening; the list
+    keeps them alive, so their ids stay distinct."""
+    plans, real = [], av.flatten
+
+    def counted(rec):
+        plans.append(rec.plan)
+        return real(rec)
+
+    monkeypatch.setattr(av, "flatten", counted)
+    return plans
+
+
+def flattened_once_each(plans) -> bool:
+    return bool(plans) and max(Counter(map(id, plans)).values()) == 1
+
+
+def test_negative_screening_flattens_each_plan_once(monkeypatch):
+    """One record per drawn plan: each plan is flattened at most once
+    (with a fresh record per pair, 4,420 flattenings of 3,410 plans),
+    and the pairs equal those of a fresh check per pair."""
+    flattened = av_flattened(monkeypatch)
+    pairs = make_negative_pairs(TPCH_LITE, 2000, seed=11)
+    assert flattened_once_each(flattened) and len(flattened) == 3410
+    monkeypatch.setattr(av, "Verifier", FreshVerifier)
+    assert pairs == make_negative_pairs(TPCH_LITE, 2000, seed=11)
 
 
 def test_negative_pairs_reject_candidates_whose_check_raises(monkeypatch):
@@ -92,14 +130,14 @@ def test_negative_pairs_reject_candidates_whose_check_raises(monkeypatch):
     assert len(pairs) == 30 and made[0].unknown
     assert not made[0].unknown & {(to_json(p.p1), to_json(p.p2)) for p in pairs}
     v = Verifier()
-    assert all(v.equivalent(p.p1, p.p2) is False for p in pairs)
+    assert all(v.equivalent(PlanRecord(p.p1), PlanRecord(p.p2)) is False for p in pairs)
 
 
 def test_unscreened_negatives_have_some_noise_screening_matters():
     """Documents why screening exists: raw perturbations are noisy."""
     v = Verifier()
     pairs = make_negative_pairs(TPCH_LITE, 30, seed=4, screen=False)
-    wrong = sum(1 for p in pairs if v.equivalent(p.p1, p.p2))
+    wrong = sum(1 for p in pairs if v.equivalent(PlanRecord(p.p1), PlanRecord(p.p2)))
     assert wrong >= 1  # seed-specific but stable: noise is real
 
 
@@ -150,9 +188,9 @@ def test_reuse_workload_classes():
 
     w = make_reuse_workload(TPCH_LITE, n_classes=3, n_singletons=4, seed=9)
     assert len(w.plans) >= 3 * 2 + 4  # classes may fall short of size
-    v = Verifier()
+    v, recs = Verifier(), records(w.plans)
     for i, j in w.planted:
-        assert v.equivalent(w.plans[i], w.plans[j])
+        assert v.equivalent(recs[i], recs[j])
     # every class member joins ≥ 2 tables
     from repro.core.plan import base_tables
 
@@ -162,7 +200,7 @@ def test_reuse_workload_classes():
 
 def test_planted_pairs_are_equivalent_and_same_sf_group():
     w = make_planted_workload(TPCH_LITE, n_subexpr=30, n_equiv=4, seed=2)
-    v = Verifier()
+    v, recs = Verifier(), records(w.plans)
     for i, j in w.planted:
         assert sf_key(w.plans[i]) == sf_key(w.plans[j])
-        assert v.equivalent(w.plans[i], w.plans[j])
+        assert v.equivalent(recs[i], recs[j])

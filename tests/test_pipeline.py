@@ -62,9 +62,9 @@ def test_local_pipeline_finds_planted(emf_model, tau, workload):
     # near-perfect recall (paper: GEqO TPR ≈ 0.88–0.93)
     assert len(found) >= len(workload.planted) - 1
     # perfect precision by construction: every reported pair is AV-verified
-    v = Verifier()
+    v, recs = Verifier(), records(workload.plans)
     for i, j in res.pairs:
-        assert v.equivalent(workload.plans[i], workload.plans[j])
+        assert v.equivalent(recs[i], recs[j])
 
 
 def test_pipeline_prunes_monotonically(emf_model, tau, workload):
@@ -84,9 +84,9 @@ def test_ablation_subsets_run(emf_model, tau, workload):
     full = geqo_set_local(workload.plans, emf_model, tau=tau).pairs
     for fs in subsets:
         res = geqo_set_local(workload.plans, emf_model, filters=fs, tau=tau)
-        v = Verifier()
+        v, recs = Verifier(), records(workload.plans)
         for i, j in res.pairs:
-            assert v.equivalent(workload.plans[i], workload.plans[j])
+            assert v.equivalent(recs[i], recs[j])
 
 
 def test_spark_pipeline_matches_local(spark, emf_model, tau, workload, wide_plans):
@@ -227,15 +227,15 @@ def test_record_fallbacks_encode_as_written():
 
 
 class _RecordingVerifier(Verifier):
-    """Records each checked pair of plans with its verdict."""
+    """Records the plans of each checked pair of records with its verdict."""
 
     def __init__(self):
         super().__init__()
         self.checked = []
 
-    def equivalent(self, p1, p2):
-        verdict = super().equivalent(p1, p2)
-        self.checked.append((p1, p2, verdict))
+    def equivalent(self, r1, r2):
+        verdict = super().equivalent(r1, r2)
+        self.checked.append((r1.plan, r2.plan, verdict))
         return verdict
 
 
@@ -295,7 +295,7 @@ def test_av_verdicts_match_fresh_verifier(emf_model, tau, workload):
     calls are fewer by the satisfiability checks the records share."""
     def fresh(p1, p2):
         v = Verifier()
-        return v.equivalent(p1, p2), v.solver_calls
+        return v.equivalent(PlanRecord(p1), PlanRecord(p2)), v.solver_calls
 
     cascade = _RecordingVerifier()
     geqo_set_local(workload.plans, emf_model, tau=tau, verifier=cascade)

@@ -15,7 +15,12 @@ from repro.verifier.av import Verifier
 from repro.workload.labeler import make_dataset, make_planted_workload
 from repro.workload.schema import TPCDS_LITE, TPCH_LITE
 from repro.workload.rewrites import NORMALIZATION, SYNTACTIC
-from tests.test_labeler import FlakyVerifier
+from tests.test_labeler import (
+    FlakyVerifier,
+    FreshVerifier,
+    av_flattened,
+    flattened_once_each,
+)
 
 
 def _degenerate_model(seed=0):
@@ -65,7 +70,7 @@ def test_random_sampling_rarely_finds_positives():
 
 
 class UnknownVerifier(Verifier):
-    def equivalent(self, p1, p2):
+    def equivalent(self, r1, r2):
         return None
 
 
@@ -97,6 +102,25 @@ def test_random_sampling_drops_pairs_whose_check_raises():
     assert sample_random(
         w.plans, UnknownVerifier(), batch=64, rng=np.random.default_rng(1)
     ) == []
+
+
+def test_samplers_flatten_each_plan_once(emf_model, monkeypatch):
+    """Each sampler checks one record per plan: a plan is flattened at
+    most once per call, and the sample equals that of a fresh check
+    per pair."""
+    w = make_planted_workload(TPCDS_LITE, n_subexpr=40, n_equiv=6, seed=50)
+    flattened = av_flattened(monkeypatch)
+    samplers = [
+        lambda v: sample_filter_balanced(
+            w.plans, emf_model, v, tau=5.0, batch=64, rng=np.random.default_rng(0)
+        ),
+        lambda v: sample_random(w.plans, v, batch=64, rng=np.random.default_rng(1)),
+    ]
+    for sample in samplers:
+        flattened.clear()
+        got = sample(Verifier())
+        assert got and flattened_once_each(flattened)
+        assert got == sample(FreshVerifier())
 
 
 def test_ssfl_stops_when_confident(emf_model):

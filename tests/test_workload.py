@@ -14,14 +14,17 @@ from repro.core.plan import (
     Comparison,
     Const,
     Filter,
+    Join,
     Project,
+    Scan,
     base_tables,
     compose,
     decompose,
     to_json,
 )
+from repro.core.record import records
 from repro.core.sqlgen import to_sql
-from repro.verifier.av import verify
+from repro.verifier.av import Verifier, verify
 from repro.verifier.model_check import counterexample
 from repro.workload.generator import random_base_plan, random_plans
 from repro.workload.rewrites import (
@@ -72,6 +75,46 @@ def test_decompose_compose_roundtrip_equivalence():
         aliases, jps, fps, proj = decompose(p)
         rebuilt = compose(aliases, jps, fps, proj)
         assert verify(p, rebuilt)
+
+
+def _filter_linked():
+    """A join whose predicate references ``A`` only, as ``eq_substitute``
+    can leave one: only the filter ``A.k = B.k`` links ``B``."""
+    join = Join(Scan("A", "A"), Scan("B", "B"), Comparison(Col("A", "x"), "<", Col("A", "v")))
+    return Project(
+        (Col("A", "x"), Col("B", "y")),
+        Filter(Comparison(Col("A", "k"), "=", Col("B", "k")), join),
+    )
+
+
+@pytest.mark.parametrize("order", [["A", "B"], ["B", "A"]])
+def test_compose_joins_an_alias_through_a_linking_filter(order):
+    p = _filter_linked()
+    rebuilt = compose(*decompose(p), order=order)
+    assert verify(p, rebuilt)
+    assert counterexample(p, rebuilt, trials=4) is None
+
+
+def test_compose_still_refuses_a_cross_product():
+    cross = _filter_linked().child.child  # the join alone: nothing links B
+    with pytest.raises(ValueError, match="disconnected"):
+        compose(*decompose(Project((Col("A", "x"),), cross)), order=["A", "B"])
+
+
+def test_planted_pool_with_a_filter_linked_join_builds():
+    """At 1,280 plans and seed 107, ``rw_remove_redundant`` rebuilds a
+    plan whose second alias only a filter links; the pool builds, and
+    the AV proves every planted pair."""
+    from repro.experiments.table1 import FAMILY_TIERS, TABLE_SETS
+    from repro.workload.labeler import make_planted_workload
+
+    w = make_planted_workload(
+        TPCDS_LITE, n_subexpr=1280, n_equiv=200, seed=107,
+        table_sets=TABLE_SETS, max_proj=2, family_tiers=FAMILY_TIERS,
+    )
+    v, recs = Verifier(), records(w.plans)
+    assert len(w.planted) == 200
+    assert all(v.equivalent(recs[i], recs[j]) for i, j in w.planted)
 
 
 @pytest.mark.parametrize("family", sorted(REWRITES))
